@@ -162,6 +162,8 @@ class SampledFunction:
         self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape} != {want}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite (no NaN or inf samples)")
 
     def shifted(self, offset) -> "SampledFunction":
         """Translate by a grid vector (exact index roll)."""
@@ -189,6 +191,8 @@ class HalfSpaceField:
         self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape} != {want}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite (no NaN or inf samples)")
 
     def shifted(self, offset) -> "HalfSpaceField":
         off = (offset,) if np.isscalar(offset) else tuple(offset)
@@ -237,7 +241,8 @@ class Region:
     """Finite subset of the discrete half-space with quadrature weights.
 
     Atoms are stored flat in canonical (scale, spatial) order so that
-    Monte-Carlo draws keyed to atoms are independent of construction order.
+    Monte Carlo estimates over the atoms are independent of construction
+    order.
     """
 
     grid: SpatialGrid

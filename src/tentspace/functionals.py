@@ -67,8 +67,8 @@ class FunctionalProfile:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError("profile shape must match the grid")
-        if np.any(self.values < -1e-12):
-            raise ValueError("profiles are nonnegative")
+        if not np.all(self.values >= -1e-12):
+            raise ValueError("profiles are nonnegative and free of NaN")
 
     def max(self) -> float:
         return float(self.values.max())
@@ -165,7 +165,7 @@ def _a_mc(field: HalfSpaceField, alpha: float, cut_indices: np.ndarray,
             axis=0,
         )
         for c, m in enumerate(cuts):
-            sq = (np.abs(prefix[m]) ** 2).sum(axis=1)  # (take, *spatial)
+            sq = norm(field.space, np.moveaxis(prefix[m], 1, -1)) ** 2  # (take, *spatial)
             acc1[c] += sq.sum(axis=0)
             acc2[c] += (sq * sq).sum(axis=0)
         done += take

@@ -2,14 +2,19 @@
 
 For an l^2 target the Gauss norm collapses to the weighted L^2 sum over
 the region's atoms and is computed exactly.  Otherwise it is estimated by
-Monte Carlo: draw one complex standard Gaussian per region atom, form the
-randomized sum S = sum_i sqrt(w_i) g_i F_i in the target space, and return
-sqrt(E ||S||^2) with a delta-method standard error.
+Monte Carlo.  The randomized sum S = sum_i g_i sqrt(w_i) F_i over the A
+atoms is a circular complex Gaussian vector in C^d whose law depends only
+on its covariance M^H M, where M = sqrt(w) * F is the A x d weighted atom
+matrix.  So M is factored once, M^H M = R^H R with R upper triangular and
+its diagonal real and nonnegative, and each trial draws min(A, d) complex
+standard Gaussians z and forms S = z R.  The estimate is sqrt(E ||S||^2)
+with a delta-method standard error.
 
-Atoms are enumerated in the region's canonical order and all paired
-comparisons reuse common random numbers, so estimates are reproducible and
-defects of exact identities carry only the Monte Carlo noise of the
-difference, not of the two terms.
+The factor is computed from the atoms in the region's canonical order, so
+estimates are reproducible.  Paired comparisons factor the stacked matrix
+[M | (v - 1) * M] and share one draw between F and v*F, so defects of exact
+identities carry only the Monte Carlo noise of the difference, not of the
+two terms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import HalfSpaceField, Region
-from .space import RandomSource, dual, norm, pair
+from .space import RandomSource, complex_gaussian_array, dual, norm, pair
 
 __all__ = [
     "GaussEstimate",
@@ -30,9 +35,6 @@ __all__ = [
     "duality_defect",
     "DualityDetail",
 ]
-
-_CHUNK_ELEMS = 2_000_000  # complex draws held at once in the MC loop
-
 
 @dataclass(frozen=True)
 class GaussEstimate:
@@ -53,30 +55,36 @@ def _atom_values(field: HalfSpaceField, region: Region) -> tuple[np.ndarray, np.
     return vals, np.sqrt(region.weights)
 
 
-def _second_moments(field, region, trials, rng, scale_field=None):
-    """Per-trial squared norms of the Gaussian sum, chunked over trials."""
+def _covariance_factor(m: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^H R = m^H m and a real nonnegative diagonal.
+
+    Fixing the diagonal phase makes R unique for full-rank m, so c*m
+    factors to |c|*R and scaled fields see the same draws.
+    """
+    r = np.linalg.qr(m, mode="r")
+    return np.exp(-1j * np.angle(np.diagonal(r)))[:, None] * r
+
+
+def _second_moments(field, region, trials, rng, multiplier=None):
+    """Per-trial squared norms of the Gaussian sum, drawn from its covariance.
+
+    With ``multiplier`` v (one scalar per atom) the stacked matrix
+    [M | (v - 1) * M] is factored, so one draw T gives S = T[:, :d] and
+    S_v = S + T[:, d:] with their joint law; v == 1 makes S_v == S exactly.
+    """
     vals, wsqrt = _atom_values(field, region)
     weighted = wsqrt[:, None] * vals
-    if scale_field is not None:
-        weighted_b = wsqrt[:, None] * (scale_field[:, None] * vals)
-    A = region.size
-    gen = (rng if rng is not None else RandomSource(0)).generator()
-    chunk = max(1, min(trials, _CHUNK_ELEMS // max(A, 1)))
-    m = np.empty(trials)
-    mb = np.empty(trials) if scale_field is not None else None
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        re = gen.standard_normal((take, A))
-        im = gen.standard_normal((take, A))
-        g = (re + 1j * im) / math.sqrt(2.0)
-        s = g @ weighted
-        m[done: done + take] = norm(field.space, s) ** 2
-        if scale_field is not None:
-            sb = g @ weighted_b
-            mb[done: done + take] = norm(field.space, sb) ** 2
-        done += take
-    return (m, mb) if scale_field is not None else m
+    if multiplier is not None:
+        weighted = np.concatenate([weighted, (multiplier - 1.0)[:, None] * weighted], axis=1)
+    factor = _covariance_factor(weighted)
+    z = complex_gaussian_array(rng if rng is not None else RandomSource(0),
+                               (trials, factor.shape[0]))
+    t = z @ factor
+    s = t[:, :field.space.dim]
+    m = norm(field.space, s) ** 2
+    if multiplier is None:
+        return m
+    return m, norm(field.space, s + t[:, field.space.dim:]) ** 2
 
 
 def _estimate_from_moments(m: np.ndarray) -> GaussEstimate:
@@ -99,7 +107,9 @@ def gauss_norm(
     """Gauss norm of the field restricted to the region.
 
     Exact (stderr 0) when the target is l^2 and ``force_mc`` is off;
-    otherwise a Monte Carlo estimate with ``trials`` draws.
+    otherwise a Monte Carlo estimate with ``trials`` draws.  Each draw is
+    min(A, d) complex Gaussians times the region's covariance factor, not
+    one Gaussian per atom.
     """
     if region.size == 0:
         return GaussEstimate(0.0, 0.0, 0, True)
@@ -124,7 +134,9 @@ def paired_multiplier_defect(
     """(gauss_norm(g*F) - gauss_norm(F), stderr) with common random numbers.
 
     ``multiplier`` is a scalar field over (K, *spatial).  On the exact
-    Hilbert path the stderr is zero.
+    Hilbert path the stderr is zero.  On the Monte Carlo path both norms
+    come from one draw of the joint covariance factor of F and g*F
+    (min(A, 2d) complex Gaussians per trial).
     """
     expect = (field.scales.K,) + field.grid.shape
     multiplier = np.asarray(multiplier)
@@ -142,7 +154,7 @@ def paired_multiplier_defect(
         return math.sqrt(scaled) - math.sqrt(base), 0.0
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
-    m, mb = _second_moments(field, region, trials, rng, scale_field=g_atoms)
+    m, mb = _second_moments(field, region, trials, rng, multiplier=g_atoms)
     est, est_b = _estimate_from_moments(m), _estimate_from_moments(mb)
     diff = mb - m
     if est.value == 0.0 and est_b.value == 0.0:

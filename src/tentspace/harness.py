@@ -760,13 +760,14 @@ def suite_paraproduct(cfg: ExperimentConfig) -> Report:
     for p in cfg.p_list:
         vals = [r[f"R_p={p:g}"] for r in rows if math.isfinite(r[f"R_p={p:g}"])]
         bands[f"R_p={p:g}"] = _band(vals)
-        assertions.append(
-            Assertion(
-                f"R_bounded_p={p:g}",
-                bool(max(vals) <= r_max),
-                f"max R {max(vals):.3g} <= {r_max} (regression baseline x1.5)",
-            )
-        )
+        if vals:
+            ok = bool(max(vals) <= r_max)
+            detail = f"max R {max(vals):.3g} <= {r_max} (regression baseline x1.5)"
+        else:
+            ok = False
+            detail = (f"no finite ratio R_p={p:g}: every case has a zero "
+                      f"BMO or L^{p:g} norm")
+        assertions.append(Assertion(f"R_bounded_p={p:g}", ok, detail))
 
     # zero cases
     const_f = SampledFunction.constant(grid, space, [1.0] * space.dim)

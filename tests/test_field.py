@@ -173,3 +173,20 @@ def test_region_canonical_order_and_restrict():
     vals = r.restrict(f)
     assert vals.shape == (3, 2)
     assert vals[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_sampled_function_and_field_reject_non_finite(bad):
+    from tentspace.field import HalfSpaceField, SampledFunction
+    from tentspace.space import ell
+
+    g = SpatialGrid(1, 8)
+    s = ScaleGrid(0.01, 0.25, 3)
+    vals = np.zeros((8, 2), dtype=complex)
+    vals[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledFunction(g, ell(1, 2), vals)
+    fvals = np.zeros((3, 8, 2), dtype=complex)
+    fvals[2, 5, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HalfSpaceField(g, s, ell(1, 2), fvals)

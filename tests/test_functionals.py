@@ -12,6 +12,7 @@ from tentspace.field import (
     dyadic_radii,
 )
 from tentspace.functionals import (
+    FunctionalProfile,
     a_fun,
     a_fun_cuts,
     bmo_norm,
@@ -224,3 +225,24 @@ def test_profile_csv_roundtrip(tmp_path):
     assert len(rows) == GRID.N + 1
     sf = prof.to_sampled()
     assert np.allclose(sf.values[:, 0].real, prof.values)
+
+
+def test_profile_rejects_nan():
+    vals = np.zeros(GRID.shape)
+    vals[7] = np.nan
+    with pytest.raises(ValueError):
+        FunctionalProfile("A", GRID, vals)
+
+
+@pytest.mark.parametrize("q,dim,seed", [(1.0, 3, 40), (4.0, 2, 41), ("inf", 3, 42)])
+def test_a_fun_mc_agrees_with_region_oracle_non_hilbert(q, dim, seed):
+    # two algorithms: the windowed per-atom sweep and the region's covariance factor
+    f = random_field(ell(q, dim), seed)
+    cuts = a_fun_cuts(f, 1.0, [None, 0.1], trials=1000, rng=RandomSource(seed),
+                      force_mc=True)
+    for prof, h in zip(cuts, [None, 0.1]):
+        for i in [0, 45, 101]:
+            region = cone_region(GRID, SCALES, GRID.spacing * i, 1.0, h)
+            est = gauss_norm(f, region, trials=4000, rng=RandomSource(seed + 1000))
+            spread = math.hypot(prof.stderr[i], est.stderr)
+            assert abs(prof.values[i] - est.value) <= 4.0 * spread, (q, h, i)

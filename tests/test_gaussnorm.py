@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tentspace.field import HalfSpaceField, ScaleGrid, SpatialGrid, cone_region
+from tentspace.field import HalfSpaceField, Region, ScaleGrid, SpatialGrid, cone_region
 from tentspace.gaussnorm import (
     duality_defect,
     gauss_norm,
@@ -28,6 +28,66 @@ def random_region(seed, grid=GRID, scales=SCALES):
     alpha = float(gen.uniform(0.3, 2.0))
     h = float(gen.uniform(scales.t_min * 2, scales.t_max * 1.5))
     return cone_region(grid, scales, x, alpha, h)
+
+
+def per_atom_moments(field, region, trials, seed, multiplier=None):
+    """Reference sampler: one complex Gaussian per atom per trial.
+
+    Independent of the covariance factor used by the library; returns the
+    per-trial squared norms of S (and of the sum for multiplier * F).
+    """
+    weighted = np.sqrt(region.weights)[:, None] * region.restrict(field)
+    g = complex_gaussian_array(RandomSource(seed).generator(), (trials, region.size))
+    m = norm(field.space, g @ weighted) ** 2
+    if multiplier is None:
+        return m
+    return m, norm(field.space, g @ (multiplier[:, None] * weighted)) ** 2
+
+
+def moments_estimate(m):
+    value = math.sqrt(float(m.mean()))
+    return value, math.sqrt(float(m.var(ddof=1)) / m.size) / (2.0 * value)
+
+
+def small_region(count, seed):
+    """Region of ``count`` distinct random atoms (fewer than d allowed)."""
+    gen = np.random.default_rng(seed)
+    flat = gen.choice(SCALES.K * GRID.size, size=count, replace=False)
+    return Region(GRID, SCALES, flat % GRID.size, flat // GRID.size,
+                  gen.uniform(0.5, 2.0, size=count))
+
+
+NON_HILBERT = [(q, d) for q in (1.0, 4.0, "inf") for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q,d", NON_HILBERT)
+def test_gauss_norm_agrees_with_per_atom_sampler(q, d):
+    seed = 600 + 10 * d + (0 if q == "inf" else int(q))
+    f = random_field(ell(q, d), seed)
+    for r in (random_region(seed), small_region(max(d - 1, 1), seed)):
+        est = gauss_norm(f, r, trials=2000, rng=RandomSource(seed))
+        ref, ref_err = moments_estimate(per_atom_moments(f, r, 2000, seed + 1))
+        assert not est.exact and est.trials == 2000
+        assert abs(est.value - ref) <= 4.0 * math.hypot(est.stderr, ref_err)
+
+
+@pytest.mark.parametrize("q,d", NON_HILBERT)
+def test_paired_defect_agrees_with_per_atom_sampler(q, d):
+    seed = 700 + 10 * d + (0 if q == "inf" else int(q))
+    gen = np.random.default_rng(seed)
+    f = random_field(ell(q, d), seed)
+    g = gen.uniform(0.0, 1.5, size=(SCALES.K,) + GRID.shape)
+    # a full cone, fewer atoms than d, and fewer than 2d (the stacked factor)
+    regions = [random_region(seed), small_region(max(d - 1, 1), seed),
+               small_region(2 * d - 1, seed + 1)]
+    for r in regions:
+        defect, stderr = paired_multiplier_defect(f, r, g, trials=2000,
+                                                  rng=RandomSource(seed))
+        g_atoms = g.reshape(SCALES.K, GRID.size)[r.scale_idx, r.spatial_idx]
+        m, mb = per_atom_moments(f, r, 2000, seed + 1, multiplier=g_atoms)
+        (a, _), (b, _) = moments_estimate(m), moments_estimate(mb)
+        ref_err = math.sqrt(float((mb - m).var(ddof=1)) / m.size) / (2.0 * max(a, b))
+        assert abs(defect - (b - a)) <= 4.0 * math.hypot(stderr, ref_err)
 
 
 def test_zero_field_and_empty_region():
@@ -107,7 +167,7 @@ def test_atom_order_independence():
     r2 = Region(GRID, SCALES, r.spatial_idx[perm], r.scale_idx[perm], r.weights[perm])
     a = gauss_norm(f, r, trials=500, rng=RandomSource(13))
     b = gauss_norm(f, r2, trials=500, rng=RandomSource(13))
-    assert a.value == b.value  # canonical atom order keys the draws
+    assert a.value == b.value  # canonical atom order fixes the covariance factor
     fh = random_field(ell(2, 2), 99)
     assert gauss_norm(fh, r).value == gauss_norm(fh, r2).value  # bit-identical
 

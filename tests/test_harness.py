@@ -168,3 +168,17 @@ def test_charbmo_zero_guard_excludes_degenerate_members():
     assert len(rep.cases) == 6  # zero members reported but excluded from bands
     assert sum(1 for c in rep.cases if c["bmo"] == 0.0) == 2
     assert math.isfinite(rep.bands["ratio_q=1"]["spread"])
+
+
+def test_paraproduct_suite_fails_cleanly_without_finite_ratios(monkeypatch):
+    import tentspace.harness as harness
+
+    # a zero BMO norm leaves every boundedness ratio undefined
+    monkeypatch.setattr(harness, "bmo_norm", lambda f: 0.0)
+    cfg = ExperimentConfig(suite="paraproduct", **SMALL, p_list=[2.0],
+                           space_q=1.0, space_dim=2)
+    rep = run_suite(cfg)
+    [bounded] = [a for a in rep.assertions if a.name == "R_bounded_p=2"]
+    assert not bounded.passed
+    assert "no finite ratio" in bounded.detail
+    assert math.isnan(rep.bands["R_p=2"]["max"])

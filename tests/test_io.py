@@ -78,3 +78,15 @@ def test_json_roundtrip(tmp_path):
     G = read_json(p)
     assert np.array_equal(G.values, F.values)
     assert G.scales == F.scales
+
+
+def test_tsf1_rejects_non_finite_samples(tmp_path):
+    F = sample_field()
+    p = tmp_path / "F.tsf1"
+    write_tsf1(F, p)
+    raw = bytearray(p.read_bytes())
+    offset = 4 + 16 + 32 + 16 * 5  # real part of the sixth sample
+    raw[offset: offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
+        read_tsf1(p)
