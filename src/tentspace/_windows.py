@@ -186,6 +186,3 @@ def per_scale_window_max(
         out[k] = window_max(grid, arr[k], radii[k])
     return out
 
-
-def per_scale_window_counts(grid: SpatialGrid, radii: np.ndarray) -> np.ndarray:
-    return np.array([window_count(grid, r) for r in np.atleast_1d(radii)])

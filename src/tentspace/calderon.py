@@ -310,9 +310,11 @@ def complementary(
 
     phi_hat(-xi) = chi(xi) conj(psi_hat(xi)) / D(xi) with a smooth annulus
     bump chi supported in a < |xi| < b and D the dilation-invariant
-    normalizer, computed per ray by log-uniform midpoint quadrature over
-    the support of chi.  chi vanishes near the origin, so phi has vanishing
-    integral by construction.
+    normalizer, computed by log-uniform midpoint quadrature over the support
+    of chi.  D depends only on the direction of xi, so each call evaluates
+    it once per distinct input direction (two rays on the line) and
+    scatters the values back.  chi vanishes near the origin, so phi has
+    vanishing integral by construction.
 
     The annulus defaults to psi's own transform band: chi * psi_hat must be
     non-null on every ray, so (a, b) has to straddle the dilations where
@@ -337,13 +339,14 @@ def complementary(
     n = psi.n
 
     def ray_normalizer(units: np.ndarray) -> np.ndarray:
-        # units: (..., n) unit vectors (n=1: (...,) signs)
+        # units: (m, n) unit vectors (n=1: (m,) signs); psi.fourier reduces
+        # the coordinate axis, so the quadrature nodes are the last axis
         if n == 1:
             pts = units[..., None] * s_nodes
         else:
             pts = units[..., None, :] * s_nodes[:, None]
         vals = np.abs(np.asarray(psi.fourier(pts))) ** 2
-        return (vals * chi_s).sum(axis=-1 if n == 1 else -2) * dlog
+        return (vals * chi_s).sum(axis=-1) * dlog
 
     def phi_hat(xi):
         xi = np.asarray(xi, dtype=float)
@@ -357,11 +360,13 @@ def complementary(
             units = -np.sign(xi[active])
         else:
             units = -xi[active] / r[active][..., None]
-        D = ray_normalizer(units)
-        if np.any(D < margin_tol):
-            bad = np.argmin(D)
-            ray = units[bad] if n == 2 else float(np.atleast_1d(units)[bad])
-            raise ValueError(f"normalizer below tolerance on ray {ray}")
+        rays, inverse = np.unique(units, axis=0, return_inverse=True)
+        D_rays = ray_normalizer(rays)
+        if np.any(D_rays < margin_tol):
+            raise ValueError(
+                f"normalizer below tolerance on ray {rays[np.argmin(D_rays)]}")
+        # numpy 2.0.0 returns a column-shaped inverse when axis is given
+        D = D_rays[inverse.reshape(-1)]
         out[active] = cut[active] * np.conj(psi.fourier(-xi[active])) / D
         return out
 

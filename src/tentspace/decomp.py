@@ -68,25 +68,6 @@ class DyadicCube:
         ]
 
 
-def _axis_point_to_interval(p: np.ndarray, a: float, s: float, L: float) -> np.ndarray:
-    """Torus distance from coordinates p to the interval [a, a+s) mod L."""
-    delta = (p - a) % L
-    inside = delta <= s
-    gap = np.minimum(delta - s, L - delta)
-    return np.where(inside, 0.0, gap)
-
-
-def _cube_distance(grid: SpatialGrid, cube: DyadicCube, pts: np.ndarray) -> np.ndarray:
-    """Torus distances from a cube to an array of points."""
-    s = cube.side(grid)
-    anchor = cube.anchor(grid)
-    if grid.n == 1:
-        return _axis_point_to_interval(pts, anchor[0], s, grid.L)
-    dx = _axis_point_to_interval(pts[:, 0], anchor[0], s, grid.L)
-    dy = _axis_point_to_interval(pts[:, 1], anchor[1], s, grid.L)
-    return np.hypot(dx, dy)
-
-
 def _complement_centers(grid: SpatialGrid, cells: np.ndarray) -> np.ndarray:
     comp = ~cells
     if grid.n == 1:
@@ -105,25 +86,6 @@ class WhitneyDecomposition:
     @property
     def max_level(self) -> int:
         return max((c.level for c in self.cubes), default=0)
-
-
-def _cells_in_cube(grid: SpatialGrid, cube: DyadicCube):
-    """Grid-cell index ranges covered by (or covering) the cube."""
-    j_max = int(round(math.log2(grid.N)))
-    if cube.level <= j_max:
-        w = 2 ** (j_max - cube.level)
-        return tuple((i * w, (i + 1) * w) for i in cube.index), True
-    shift = cube.level - j_max
-    return tuple((i >> shift, (i >> shift) + 1) for i in cube.index), False
-
-
-def _intersects(grid: SpatialGrid, cube: DyadicCube, cells: np.ndarray) -> bool:
-    ranges, _ = _cells_in_cube(grid, cube)
-    if grid.n == 1:
-        (lo, hi), = ranges
-        return bool(cells[lo:hi].any())
-    (l0, h0), (l1, h1) = ranges
-    return bool(cells[l0:h0, l1:h1].any())
 
 
 def _min_dist_to_points(grid: SpatialGrid, level: int, idx: np.ndarray,

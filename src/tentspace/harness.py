@@ -408,13 +408,17 @@ def suite_charBMO(cfg: ExperimentConfig) -> Report:
         corpus.extend(generate_corpus(spec, grid, space, cfg.rng().derive(j)))
 
     zero_guard = cfg.tol("zero_guard", 1e-12)
+    radii = dyadic_radii(grid)
 
     def one(fn):
         F = resolve(fn, psi, scales)
         b = bmo_norm(fn)
         row = {"bmo": b, "cq_inf": {}}
+        # one A sweep per field serves every q
+        cuts = a_fun_cuts(F, cfg.alpha, list(radii), trials=cfg.trials,
+                          rng=cfg.rng())
         for q in cfg.q_list:
-            prof = c_fun(F, q, cfg.alpha, trials=cfg.trials, rng=cfg.rng())
+            prof = c_fun(F, q, cfg.alpha, radii=radii, a_profiles=cuts)
             row["cq_inf"][q] = prof.max()
         return row
 
@@ -901,16 +905,14 @@ def run_suite(cfg: ExperimentConfig) -> Report:
         other = fine.bands.get(key)
         if not other:
             continue
-        pairs = [(band.get("max"), other.get("max"))]
-        stable = True
-        for a, b in pairs:
-            if a and b and a > 0 and b > 0:
-                r = max(a / b, b / a)
-                if r > factor:
-                    stable = False
-        base.assertions.append(
-            Assertion(f"refine_stable_{key}", stable,
-                      f"band max moved by <= x{factor} under {cfg.refine_axis}-doubling")
-        )
+        a, b = band["max"], other["max"]
+        empty = [name for name, m in (("base", a), ("refined", b)) if math.isnan(m)]
+        if empty:
+            stable = False
+            detail = f"band is empty (max is NaN) at the {' and '.join(empty)} resolution"
+        else:
+            stable = not (a > 0 and b > 0 and max(a / b, b / a) > factor)
+            detail = f"band max moved by <= x{factor} under {cfg.refine_axis}-doubling"
+        base.assertions.append(Assertion(f"refine_stable_{key}", stable, detail))
     base.bands["refined"] = fine.bands
     return base

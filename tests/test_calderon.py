@@ -5,6 +5,8 @@ import pytest
 
 from tentspace.calderon import (
     TestFunction,
+    _annulus_bump,
+    _sqnorm,
     bandpass_meyer,
     complementary,
     default_annulus,
@@ -155,6 +157,84 @@ def test_complementary_vanishes_at_origin_and_low_band():
     assert phi.fourier(np.array([0.0]))[0] == 0.0
     assert np.all(phi.fourier(np.linspace(-a / 2, a / 2, 9)) == 0.0)
     assert phi.integral == 0.0
+
+
+def per_point_phi_hat(psi, xi, quad_points=512, edge=0.25):
+    """Independent reference: the normalizer D quadrature run at every point.
+
+    A direct transcription of the per-point formula, with the quadrature
+    summed over the node axis in both dimensions.
+    """
+    a, b = psi.band
+    n = psi.n
+    chi = _annulus_bump(a, b, edge)
+    dlog = math.log(b / a) / quad_points
+    s_nodes = np.exp(math.log(a) + (np.arange(quad_points) + 0.5) * dlog)
+    chi_s = chi(s_nodes)
+    xi = np.asarray(xi, dtype=float)
+    r = np.sqrt(_sqnorm(xi, n))
+    cut = chi(r)
+    out = np.zeros(r.shape, dtype=complex)
+    active = cut > 0.0
+    if n == 1:
+        units = -np.sign(xi[active])
+        pts = units[..., None] * s_nodes
+    else:
+        units = -xi[active] / r[active][..., None]
+        pts = units[..., None, :] * s_nodes[:, None]
+    D = (np.abs(np.asarray(psi.fourier(pts))) ** 2 * chi_s).sum(axis=-1) * dlog
+    out[active] = cut[active] * np.conj(psi.fourier(-xi[active])) / D
+    return out
+
+
+def skewed_hat(n):
+    """Mexican hat weighted by direction, so D differs from ray to ray."""
+    hat = mexican_hat(n)
+
+    def four(xi):
+        xi = np.asarray(xi, dtype=float)
+        r = np.sqrt(_sqnorm(xi, n))
+        first = xi if n == 1 else xi[..., 0]
+        cos = np.divide(first, r, out=np.zeros_like(r), where=r > 0)
+        return hat.fourier(xi) * (2.0 + cos)
+
+    return TestFunction("skewed_hat", n, four, band=hat.band)
+
+
+@pytest.mark.parametrize("make", [mexican_hat, skewed_hat])
+def test_complementary_matches_per_point_normalizer_1d(make):
+    # the benchmark lattice: n=1, N=512, every scale of the default grid
+    grid = SpatialGrid(1, 512)
+    psi = make(1)
+    phi = complementary(psi)
+    for t in ScaleGrid(2.0 * grid.spacing, 0.25, 32).nodes():
+        ref = per_point_phi_hat(psi, t * grid.xi())
+        assert np.array_equal(phi.fourier_grid(grid, t), ref)
+
+
+@pytest.mark.parametrize("make", [mexican_hat, bandpass_meyer, skewed_hat])
+def test_complementary_matches_per_point_normalizer_2d(make):
+    grid = SpatialGrid(2, 32)
+    psi = make(2)
+    phi = complementary(psi)
+    active = 0
+    for t in ScaleGrid(2.0 * grid.spacing, 0.25, 8).nodes():
+        ref = per_point_phi_hat(psi, t * grid.xi())
+        active += int(np.count_nonzero(ref))
+        # -0.0 and 0.0 coordinates share one direction in the new path
+        np.testing.assert_allclose(phi.fourier_grid(grid, t), ref, rtol=1e-14, atol=0)
+    assert active > 0
+
+
+def test_complementary_builds_in_2d():
+    # 7 rays, off the lattice axes, at two radii inside both annuli
+    ang = 2.0 * math.pi * np.arange(7) / 7 + 0.1
+    rays = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    freqs = np.concatenate([rays, 3.0 * rays])
+    for psi, tol in ((mexican_hat(2), 1e-8), (bandpass_meyer(2), 1e-4)):
+        phi = complementary(psi)
+        assert phi.n == 2 and phi.integral == 0.0
+        assert reproducing_residual(psi, phi, freqs, 1e-3, 1e3, 256) < tol
 
 
 def test_default_annulus_matches_grid_band():

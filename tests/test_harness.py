@@ -4,17 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from tentspace.calderon import resolve
 from tentspace.field import ScaleGrid, SpatialGrid
 from tentspace.harness import (
+    Assertion,
     CorpusSpec,
     ExperimentConfig,
+    Report,
     SUITES,
     generate_corpus,
     generate_column_corpus,
     generate_field_corpus,
     run_suite,
 )
-from tentspace.functionals import bmo_norm
+from tentspace.functionals import bmo_norm, c_fun
 from tentspace.space import RandomSource, ell
 
 GRID = SpatialGrid(1, 128)
@@ -182,3 +185,53 @@ def test_paraproduct_suite_fails_cleanly_without_finite_ratios(monkeypatch):
     assert not bounded.passed
     assert "no finite ratio" in bounded.detail
     assert math.isnan(rep.bands["R_p=2"]["max"])
+
+
+def test_paraproduct_suite_passes_in_2d():
+    cfg = ExperimentConfig(suite="paraproduct", n=2, N=32, K=8, cases=4, seed=3)
+    rep = run_suite(cfg)
+    assert rep.assertions
+    assert rep.passed, [a for a in rep.assertions if not a.passed]
+
+
+def test_refine_fails_on_empty_band(monkeypatch):
+    import tentspace.harness as harness
+
+    def stub(cfg):
+        fine = cfg.N > SMALL["N"]
+        bands = {
+            "steady": harness._band([1.0, 2.0]),
+            "empty_base": harness._band([1.5] if fine else []),
+            "empty_fine": harness._band([] if fine else [1.5]),
+        }
+        return Report("stub", {}, [], bands, [Assertion("stub", True, "")])
+
+    monkeypatch.setitem(harness.SUITES, "stub", stub)
+    rep = run_suite(ExperimentConfig(suite="stub", **SMALL, refine=True))
+    refine = {a.name: a for a in rep.assertions if a.name.startswith("refine_stable_")}
+    assert refine["refine_stable_steady"].passed
+    for key, side in (("empty_base", "base"), ("empty_fine", "refined")):
+        check = refine[f"refine_stable_{key}"]
+        assert not check.passed
+        assert "band is empty" in check.detail and side in check.detail
+    assert not rep.passed
+
+
+def test_charbmo_shares_one_sweep_across_q():
+    # Monte Carlo target, so every per-q c_fun call redraws from cfg.rng()
+    corpus = [{"family": "bmo_log", "count": 2}, {"family": "bmo_step", "count": 1}]
+    cfg = ExperimentConfig(suite="charBMO", N=64, K=8, seed=5, trials=32,
+                           space_q=1.0, space_dim=2, q_list=[1.0, 2.0],
+                           corpus=corpus)
+    rep = run_suite(cfg)
+    grid, scales, space, psi = cfg.grid(), cfg.scales(), cfg.space(), cfg.psi_fn()
+    fns = []
+    for j, spec in enumerate(cfg.corpus_specs()):
+        fns.extend(generate_corpus(spec, grid, space, cfg.rng().derive(j)))
+    assert len(rep.cases) == len(fns)
+    for case, fn in zip(rep.cases, fns):
+        F = resolve(fn, psi, scales)
+        assert case["bmo"] == bmo_norm(fn)
+        for q in cfg.q_list:
+            ref = c_fun(F, q, cfg.alpha, trials=cfg.trials, rng=cfg.rng()).max()
+            assert case[f"cq_inf_q={q:g}"] == ref
