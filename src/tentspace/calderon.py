@@ -55,11 +55,20 @@ class TestFunction:
     integral: float = 0.0
     band: tuple[float, float] | None = None
 
-    def fourier_grid(self, grid: SpatialGrid, t: float) -> np.ndarray:
-        """psi_hat(t * xi) on the grid's frequency lattice."""
+    def fourier_grid(self, grid: SpatialGrid, t) -> np.ndarray:
+        """psi_hat(t * xi) on the grid's frequency lattice.
+
+        A scalar t gives the lattice shape; a 1-D array of K scales gives
+        (K, *lattice), one multiplier per scale from a single call.
+        """
         if grid.n != self.n:
             raise ValueError(f"{self.name} is {self.n}-dimensional, grid is {grid.n}")
-        return np.asarray(self.fourier(t * grid.xi()), dtype=complex)
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError("scales must be a scalar or a 1-D array")
+        xi = grid.xi()
+        return np.asarray(self.fourier(t.reshape(t.shape + (1,) * xi.ndim) * xi),
+                          dtype=complex)
 
     def reflected(self) -> "TestFunction":
         """x -> psi(-x); transform xi -> psi_hat(-xi)."""
@@ -263,14 +272,10 @@ def default_annulus(grid: SpatialGrid) -> tuple[float, float]:
 def resolve(f: SampledFunction, psi: TestFunction, scales: ScaleGrid) -> HalfSpaceField:
     """Resolution F(x, t_k) = f * psi_{t_k}(x) by exact cyclic convolution."""
     grid = f.grid
-    axes = tuple(range(grid.n))
-    fhat = np.fft.fftn(f.values, axes=axes)
-    t = scales.nodes()
-    out = np.empty((scales.K,) + grid.shape + (f.space.dim,), dtype=complex)
-    for k in range(scales.K):
-        mult = psi.fourier_grid(grid, t[k])
-        out[k] = np.fft.ifftn(fhat * mult[..., None], axes=axes)
-    return HalfSpaceField(grid, scales, f.space, out)
+    fhat = np.fft.fftn(f.values, axes=tuple(range(grid.n)))
+    out = fhat * psi.fourier_grid(grid, scales.nodes())[..., None]
+    axes = tuple(range(1, 1 + grid.n))
+    return HalfSpaceField(grid, scales, f.space, np.fft.ifftn(out, axes=axes, out=out))
 
 
 def unit_directions(n: int, count: int) -> np.ndarray:

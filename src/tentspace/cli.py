@@ -238,6 +238,8 @@ def cmd_paraproduct(args, cfg) -> int:
     write_tsf1(res.field, out / "paraproduct.tsf1")
     summary = {
         "truncated": res.truncated,
+        "tail_fine": res.tail_fine,
+        "tail_coarse": res.tail_coarse,
         "scale_norms": [float(v) for v in res.scale_norms],
         "lp": {str(p): lp_norm(res.field, p) for p in cfg.get("p_list", [2.0])},
         "bmo_f": bmo_norm(f),

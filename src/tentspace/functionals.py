@@ -14,6 +14,13 @@ Ball suprema (Carleson functional, maximal function, BMO) run over the
 dyadic radius family L*2^-j with grid-point centers: a ball of the family
 contains x exactly when its center lies in the same-radius window around
 x, so the sup over balls containing x is a windowed max of windowed means.
+
+The BMO norm needs the mean of ||f(y) - f_B|| over each ball, which no
+windowed sum of f gives.  Its kernel treats a ball as a union of row
+segments (one in 1-D, one per row offset in 2-D) and reads every shifted
+copy of f as a sliding window of one wrap-padded real array, so the
+oscillation of all balls of a radius costs a few blocked array passes
+instead of one roll per window offset.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._windows import (
     per_scale_window_sum,
@@ -37,7 +45,7 @@ from .field import (
     SpatialGrid,
     dyadic_radii,
 )
-from .space import RandomSource, norm
+from .space import RandomSource, _norm_from_squares, norm
 
 __all__ = [
     "FunctionalProfile",
@@ -252,8 +260,12 @@ def c_fun(
     For each dyadic radius r the truncated profile A(F|r) is averaged in
     q-th power over every ball of radius r, and the sup over balls
     containing x is the windowed max of those means.  Monte Carlo stderr
-    is propagated through the q-mean by the delta method and through the
-    sup conservatively (max of the window's stderr).
+    is propagated to each point by the delta method, through the q-mean
+    by the bound window_sum(|term|) / count, and through the sup
+    conservatively (max of the window's stderr).  The bound holds under
+    any correlation across x: neighbouring cones share atoms, and with
+    them their Gaussian draws, so the errors of a ball's points are not
+    independent and a root-sum-of-squares would understate the error.
 
     ``a_profiles`` lets a caller reuse truncated A sweeps at exactly the
     dyadic radii instead of recomputing them.
@@ -279,9 +291,10 @@ def c_fun(
         cand = window_max(grid, mean_q, r)
         if mc:
             a, s = prof.values, prof.stderr
-            term = np.where(a > 0, q * a ** (q - 1.0) * s, 0.0)
-            var_mean = window_sum(grid, term * term, r) / count ** 2
-            err_mean = np.sqrt(var_mean)
+            pos = a > 0  # a ** (q - 1) is infinite at a = 0 when q < 1
+            term = np.zeros_like(a)
+            term[pos] = q * a[pos] ** (q - 1.0) * s[pos]
+            err_mean = window_sum(grid, np.abs(term), r) / count
             cand_err = window_max(grid, err_mean, r)
             best_err = np.where(cand > best, cand_err, best_err)
         best = np.maximum(best, cand)
@@ -340,26 +353,71 @@ def maximal_fn(g: SampledFunction) -> FunctionalProfile:
     return FunctionalProfile("M", grid, best, {"radii": "dyadic"})
 
 
+_BMO_BLOCK_ELEMS = 1 << 16  # reals per oscillation block
+
+
+def _ball_segments(grid: SpatialGrid, r: float) -> list[tuple[int, int]]:
+    """The open ball of radius r as (row offset, column halfwidth) segments.
+
+    n=1 has the single segment (0, h); n=2 has one per row offset a, its
+    column offsets -h..h read from the strict predicate window_sum uses.
+    Radii stay below L/2, so no segment wraps onto itself.
+    """
+    inside = grid.offset_distance() < r
+    half = grid.N // 2
+    if grid.n == 1:
+        return [(0, int(inside[1: half + 1].sum()))]
+    rows = np.nonzero(inside[:, 0])[0]
+    rows = np.where(rows > half, rows - grid.N, rows)
+    return [(int(a), int(inside[a % grid.N, 1: half + 1].sum()))
+            for a in np.sort(rows)]
+
+
 def bmo_norm(f: SampledFunction) -> float:
-    """Mean-oscillation norm: sup over dyadic balls of mean ||f - f_B||_X."""
-    grid = f.grid
+    """Mean-oscillation norm: sup over dyadic balls of mean ||f - f_B||_X.
+
+    For each dyadic radius r the ball means mu(x) = f_B(x, r) are windowed
+    means.  The oscillation sum over the offsets o of the ball of
+    ||f(x + o) - mu(x)|| walks the ball's row segments: the real and
+    imaginary parts of f are wrap-padded once as a (2d, *spatial) array,
+    and a sliding window view over the pad holds f shifted by every
+    offset.  Offsets go in blocks of about _BMO_BLOCK_ELEMS reals; each
+    block squares f(x + o) - mu(x), adds the real and imaginary halves
+    into per-component squared moduli and reduces them to the l^q norm.
+    Every point sums its offsets in the same order, so the norm is
+    translation invariant to roundoff, and a constant gives exactly 0.
+    """
+    grid, d = f.grid, f.space.dim
+    radii = dyadic_radii(grid)
     vecs = np.moveaxis(f.values, -1, 0)  # (d, *spatial)
+    parts = np.concatenate([vecs.real, vecs.imag])  # (2d, *spatial)
+    balls = [_ball_segments(grid, r) for r in radii]
+    pad_r = max(abs(a) for segs in balls for a, _ in segs)
+    pad_c = max(h for segs in balls for _, h in segs)
+    pads = [(0, 0)] + [(pad_r, pad_r)] * (grid.n - 1) + [(pad_c, pad_c)]
+    # shifted[:, pad_r + a, pad_c + c] is f shifted by the offset (a, c)
+    shifted = sliding_window_view(np.pad(parts, pads, mode="wrap"), grid.shape,
+                                  axis=tuple(range(1, 1 + grid.n)))
+    if grid.n == 1:
+        shifted = shifted[:, None]
+    sums = per_scale_window_sum(
+        grid, np.broadcast_to(vecs, (radii.size,) + vecs.shape), radii)
+    block = max(1, _BMO_BLOCK_ELEMS // parts.size)
+    buf = np.empty((2 * d, block) + grid.shape)
     worst = 0.0
-    for r in dyadic_radii(grid):
+    for r, segments, total in zip(radii, balls, sums):
         count = window_count(grid, r)
-        mu = window_sum(grid, vecs, r) / count
-        mu_pts = np.moveaxis(mu, 0, -1)
+        mu = total / count  # ball means, (d, *spatial)
+        mu = np.concatenate([mu.real, mu.imag])[:, None]
         acc = np.zeros(grid.shape)
-        if grid.n == 1:
-            offs = np.nonzero(grid.offset_distance() < r)[0]
-            for o in offs:
-                shifted = np.roll(f.values, -int(o), axis=0)
-                acc += norm(f.space, shifted - mu_pts)
-        else:
-            oi, oj = np.nonzero(grid.offset_distance() < r)
-            for a, b in zip(oi, oj):
-                shifted = np.roll(f.values, (-int(a), -int(b)), axis=(0, 1))
-                acc += norm(f.space, shifted - mu_pts)
+        for a, h in segments:
+            row = shifted[:, pad_r + a, pad_c - h: pad_c + h + 1]
+            for o in range(0, 2 * h + 1, block):
+                m = min(block, 2 * h + 1 - o)
+                diff = np.subtract(row[:, o: o + m], mu, out=buf[:, :m])
+                np.square(diff, out=diff)
+                sq = np.add(diff[:d], diff[d:], out=diff[:d])
+                acc += _norm_from_squares(f.space, sq, axis=0).sum(axis=0)
         worst = max(worst, float(acc.max()) / count)
     return worst
 

@@ -39,7 +39,7 @@ from .field import (
     dyadic_radii,
 )
 from .functionals import a_fun, a_fun_cuts, bmo_norm, c_fun, maximal_fn, n_fun
-from .paraproduct import lp_norm, paraproduct
+from .paraproduct import TAIL_TOL, lp_norm, paraproduct
 from .space import BanachSpace, RandomSource, complex_gaussian_array, ell, norm, pair
 
 __all__ = [
@@ -327,6 +327,7 @@ class Report:
     bands: dict
     assertions: list
     wallclock: float = 0.0
+    counts: dict = dc_field(default_factory=dict)  # flags raised across cases
 
     @property
     def passed(self) -> bool:
@@ -340,6 +341,7 @@ class Report:
             "bands": self.bands,
             "assertions": [asdict(a) for a in self.assertions],
             "cases": self.cases,
+            "counts": self.counts,
             "wallclock_s": self.wallclock,
         }
 
@@ -752,7 +754,8 @@ def suite_paraproduct(cfg: ExperimentConfig) -> Report:
         f, u = fu
         res = paraproduct(f, u, psi, phi, scales)
         b = bmo_norm(f)
-        row = {"bmo": b, "truncated": res.truncated}
+        row = {"bmo": b, "truncated": res.truncated,
+               "tail_fine": res.tail_fine, "tail_coarse": res.tail_coarse}
         for p in cfg.p_list:
             denom = b * lp_norm(u, p)
             row[f"R_p={p:g}"] = lp_norm(res.field, p) / denom if denom > 0 else math.nan
@@ -805,8 +808,15 @@ def suite_paraproduct(cfg: ExperimentConfig) -> Report:
                   bool(ok and max(cs) <= c_max),
                   f"N(U) <= c M(u) with c = {max(cs):.3g} <= {c_max}")
     )
+    # scale_norms at the ends of the band: t_min (fine) and t_max (coarse)
+    counts = {
+        "tail_tol": TAIL_TOL,
+        "truncated": sum(r["truncated"] for r in rows),
+        "tail_fine_above_tol": sum(r["tail_fine"] > TAIL_TOL for r in rows),
+        "tail_coarse_above_tol": sum(r["tail_coarse"] > TAIL_TOL for r in rows),
+    }
     return Report("paraproduct", _config_echo(cfg), rows, bands, assertions,
-                  time.time() - t0)
+                  time.time() - t0, counts)
 
 
 def suite_good_lambda(cfg: ExperimentConfig) -> Report:

@@ -2,12 +2,18 @@
 
 P(f, u) accumulates, over the scale grid, the slices
 psi_t * [(psi_t * f) (phi_t * u)], every convolution an exact cyclic one.
-The same slices back both the sampled field and the dual pairing
-<P(f, u), g>, so the two agree up to summation-order roundoff.
+All K slices are computed together as one (K, *spatial, d) array: one
+call per test function gives its multipliers at every scale, and each
+FFT runs over the spatial axes of the whole stack.  The same slices back
+both the sampled field and the dual pairing <P(f, u), g>, so the two
+agree up to summation-order roundoff.
 
-Per-scale contribution norms are kept as diagnostics: when the endpoint
-slices still carry weight relative to the peak, the scale band is too
-narrow and the result is flagged as truncated.
+Per-scale contribution norms are kept as diagnostics, one L^2 sum per
+slice.  Their end values relative to the peak are reported separately:
+``tail_fine`` at t_min and ``tail_coarse`` at t_max.  When either end
+still carries more than ``tail_tol`` of the peak, the scale band is too
+narrow and the result is flagged as truncated.  Raising t_max shrinks
+the coarse tail; lowering t_min shrinks the fine one.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .space import dual, norm, pair
 __all__ = ["ParaproductResult", "paraproduct", "pair_paraproduct", "lp_norm"]
 
 _MEAN_ZERO_TOL = 1e-12
+TAIL_TOL = 0.05  # default end-slice share of the peak that flags truncation
 
 
 @dataclass
@@ -32,6 +39,8 @@ class ParaproductResult:
     scale_norms: np.ndarray  # dlog-weighted L^2 size of each slice
     truncated: bool
     pairing: complex | None = None
+    tail_fine: float = 0.0  # scale_norms[0] / peak: the t_min end
+    tail_coarse: float = 0.0  # scale_norms[-1] / peak: the t_max end
 
 
 def _check_inputs(f: SampledFunction, u: SampledFunction, psi: TestFunction):
@@ -43,20 +52,21 @@ def _check_inputs(f: SampledFunction, u: SampledFunction, psi: TestFunction):
         raise ValueError("u must be scalar-valued")
 
 
-def _slices(f, u, psi, phi, scales):
-    """Yield (k, slice_k) with slice_k = psi_t*[(psi_t*f)(phi_t*u)]."""
+def _slices(f, u, psi, phi, scales) -> np.ndarray:
+    """All K slices psi_t*[(psi_t*f)(phi_t*u)] at once, shape (K, *spatial, d)."""
     grid = f.grid
-    axes = tuple(range(grid.n))
-    fhat = np.fft.fftn(f.values, axes=axes)
-    uhat = np.fft.fftn(u.values[..., 0], axes=axes)
-    for k, t in enumerate(scales.nodes()):
-        mp = psi.fourier_grid(grid, t)
-        mf = phi.fourier_grid(grid, t)
-        a = np.fft.ifftn(fhat * mp[..., None], axes=axes)
-        b = np.fft.ifftn(uhat * mf, axes=axes)
-        prod = a * b[..., None]
-        sl = np.fft.ifftn(np.fft.fftn(prod, axes=axes) * mp[..., None], axes=axes)
-        yield k, sl
+    space_axes = tuple(range(grid.n))
+    axes = tuple(range(1, 1 + grid.n))  # the same axes behind the scale axis
+    t = scales.nodes()
+    mp = psi.fourier_grid(grid, t)[..., None]  # (K, *lattice, 1)
+    uhat = np.fft.fftn(u.values[..., 0], axes=space_axes)
+    b = np.fft.ifftn(uhat * phi.fourier_grid(grid, t), axes=axes)
+    a = np.fft.fftn(f.values, axes=space_axes) * mp
+    np.fft.ifftn(a, axes=axes, out=a)
+    a *= b[..., None]
+    np.fft.fftn(a, axes=axes, out=a)
+    a *= mp
+    return np.fft.ifftn(a, axes=axes, out=a)
 
 
 def paraproduct(
@@ -65,21 +75,30 @@ def paraproduct(
     psi: TestFunction,
     phi: TestFunction,
     scales: ScaleGrid,
-    tail_tol: float = 0.05,
+    tail_tol: float = TAIL_TOL,
 ) -> ParaproductResult:
-    """P(f, u) on the grid, accumulated over the scale band."""
+    """P(f, u) on the grid, accumulated over the scale band.
+
+    The field is the dlog-weighted sum of the stacked slices over the
+    scale axis.  ``scale_norms[k]`` is dlog times the L^2 norm of slice
+    k; ``tail_fine`` and ``tail_coarse`` are its first and last entries
+    over its peak, and ``truncated`` says that either exceeds
+    ``tail_tol``.
+    """
     _check_inputs(f, u, psi)
     grid = f.grid
-    acc = np.zeros(grid.shape + (f.space.dim,), dtype=complex)
-    contrib = np.zeros(scales.K)
-    for k, sl in _slices(f, u, psi, phi, scales):
-        acc += scales.dlog * sl
-        sq = float((np.abs(sl) ** 2).sum()) * grid.cell_volume
-        contrib[k] = scales.dlog * math.sqrt(sq)
+    sl = _slices(f, u, psi, phi, scales)
+    sq = (np.abs(sl) ** 2).reshape(scales.K, -1).sum(axis=1)  # one sum per slice
+    contrib = scales.dlog * np.sqrt(sq * grid.cell_volume)
+    sl *= scales.dlog
+    acc = sl.sum(axis=0)
     peak = contrib.max()
+    tail_fine = float(contrib[0] / peak) if peak > 0 else 0.0
+    tail_coarse = float(contrib[-1] / peak) if peak > 0 else 0.0
     truncated = bool(peak > 0 and max(contrib[0], contrib[-1]) > tail_tol * peak)
     return ParaproductResult(
-        SampledFunction(grid, f.space, acc), contrib, truncated
+        SampledFunction(grid, f.space, acc), contrib, truncated,
+        tail_fine=tail_fine, tail_coarse=tail_coarse,
     )
 
 
@@ -104,11 +123,9 @@ def pair_paraproduct(
             f"g must take values in the dual of {f.space.label()}, "
             f"got {g.space.label()}"
         )
-    total = 0.0 + 0.0j
-    vol = f.grid.cell_volume
-    for _, sl in _slices(f, u, psi, phi, scales):
-        total += scales.dlog * complex(pair(sl, g.values).sum() * vol)
-    return total
+    sl = _slices(f, u, psi, phi, scales)
+    per_scale = pair(sl, g.values).reshape(scales.K, -1).sum(axis=1)
+    return complex((scales.dlog * (per_scale * f.grid.cell_volume)).sum())
 
 
 def lp_norm(v: SampledFunction, p) -> float:

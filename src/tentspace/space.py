@@ -93,6 +93,21 @@ def norm(space: BanachSpace, values: np.ndarray) -> np.ndarray:
     return (a ** space.q).sum(axis=-1) ** (1.0 / space.q)
 
 
+def _norm_from_squares(space: BanachSpace, sq: np.ndarray, axis: int = 0) -> np.ndarray:
+    """l^q norm from squared component moduli |v_i|^2 stacked along ``axis``.
+
+    Kernels that hold real and imaginary parts apart reduce here without
+    forming a complex array; :func:`norm` keeps its own evaluation.
+    """
+    if space.q is None:
+        return np.sqrt(sq.max(axis=axis))
+    if space.q == 1.0:
+        return np.sqrt(sq).sum(axis=axis)
+    if space.q == 2.0:
+        return np.sqrt(sq.sum(axis=axis))
+    return (sq ** (space.q / 2.0)).sum(axis=axis) ** (1.0 / space.q)
+
+
 def pair(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
     """Bilinear duality product sum_i x_i * xd_i over the last axis."""
     x = np.asarray(x)
@@ -151,9 +166,7 @@ def draw_gaussians(rng, count: int) -> np.ndarray:
     """i.i.d. complex Gaussians with E|g|^2 = 1, as a complex array."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen = _as_generator(rng)
-    z = gen.standard_normal(2 * count)
-    return (z[:count] + 1j * z[count:]) / math.sqrt(2.0)
+    return complex_gaussian_array(rng, count)
 
 
 def complex_gaussian_array(rng, shape) -> np.ndarray:

@@ -21,6 +21,7 @@ from tentspace.functionals import (
     maximal_fn,
     n_fun,
 )
+from tentspace._windows import window_count, window_sum
 from tentspace.gaussnorm import gauss_norm
 from tentspace.space import RandomSource, complex_gaussian_array, ell, norm
 
@@ -110,6 +111,50 @@ def test_c_fun_zero_and_monotone_in_q():
             assert np.all(lo <= hi + 1e-12)
 
 
+def _c_fun_stderr_by_loops(profiles, radii, q, combine):
+    """C_q stderr with every window an explicit offset loop.
+
+    combine(terms) turns the (offsets, N) per-point errors of one ball
+    into the error of its q-mean.
+    """
+    grid = profiles[0].grid
+    best = np.zeros(grid.N)
+    best_err = np.zeros(grid.N)
+    for r, prof in zip(radii, profiles):
+        offs = np.nonzero(grid.offset_distance() < r)[0]
+        a, s = prof.values, prof.stderr
+        term = np.zeros_like(a)
+        term[a > 0] = q * a[a > 0] ** (q - 1.0) * s[a > 0]
+        mean_q = np.mean([np.roll(a ** q, -o) for o in offs], axis=0)
+        err_mean = combine(np.array([np.roll(term, -o) for o in offs]))
+        cand = np.max([np.roll(mean_q, -o) for o in offs], axis=0)
+        cand_err = np.max([np.roll(err_mean, -o) for o in offs], axis=0)
+        best_err = np.where(cand > best, cand_err, best_err)
+        best = np.maximum(best, cand)
+    values = best ** (1.0 / q)
+    return np.where(values > 0, best_err / q * best ** (1.0 / q - 1.0), 0.0)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_c_fun_mc_stderr_is_the_correlation_free_bound(q):
+    # cones of neighbouring points share atoms and draws, so the error of
+    # a ball mean is bounded by the mean of the pointwise errors
+    grid, scales = SpatialGrid(1, 64), ScaleGrid(0.02, 0.25, 8)
+    f = random_field(ell(1, 2), 9, grid, scales)
+    radii = dyadic_radii(grid)
+    cuts = a_fun_cuts(f, 1.0, list(radii), trials=64, rng=RandomSource(3),
+                      force_mc=True)
+    got = c_fun(f, q, radii=radii, a_profiles=cuts)
+    bound = _c_fun_stderr_by_loops(cuts, radii, q,
+                                   lambda t: np.abs(t).sum(axis=0) / t.shape[0])
+    old = _c_fun_stderr_by_loops(
+        cuts, radii, q, lambda t: np.sqrt((t * t).sum(axis=0)) / t.shape[0])
+    np.testing.assert_allclose(got.stderr, bound, rtol=1e-12, atol=1e-15)
+    assert np.all(got.stderr >= old * (1.0 - 1e-12))
+    assert np.any(got.stderr > 1.5 * old)
+    assert c_fun(random_field(ell(2, 1), 9, grid, scales), q).stderr is None
+
+
 def test_c_fun_dominated_by_maximal_of_a_power():
     f = random_field(ell(2, 1), 8)
     q = 1.0
@@ -193,6 +238,45 @@ def test_bmo_step_function_matches_exhaustive_oracle():
             mu = members.mean()
             best = max(best, float(np.abs(members - mu).mean()))
     assert got == pytest.approx(best, rel=1e-12)
+
+
+def _bmo_norm_by_rolls(f):
+    """The former kernel: one np.roll and one norm per window offset."""
+    grid = f.grid
+    vecs = np.moveaxis(f.values, -1, 0)
+    worst = 0.0
+    for r in dyadic_radii(grid):
+        count = window_count(grid, r)
+        mu_pts = np.moveaxis(window_sum(grid, vecs, r) / count, 0, -1)
+        acc = np.zeros(grid.shape)
+        offsets = np.nonzero(grid.offset_distance() < r)
+        for off in zip(*offsets):
+            shifted = np.roll(f.values, tuple(-int(o) for o in off),
+                              axis=tuple(range(grid.n)))
+            acc += norm(f.space, shifted - mu_pts)
+        worst = max(worst, float(acc.max()) / count)
+    return worst
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (1, 128), (2, 16), (2, 32)])
+@pytest.mark.parametrize("q", [1, 2, 4, "inf"])
+def test_bmo_norm_matches_roll_loop(n, N, q):
+    grid = SpatialGrid(n, N)
+    space = ell(q, 3)
+    gen = RandomSource(40 + N).generator()
+    vals = complex_gaussian_array(gen, grid.shape + (3,))
+    vals[..., 1] += np.cumsum(vals[..., 0].real, axis=0)  # BMO-like drift
+    f = SampledFunction(grid, space, vals)
+    assert bmo_norm(f) == pytest.approx(_bmo_norm_by_rolls(f), rel=1e-12)
+
+
+def test_bmo_constant_and_translation_2d():
+    grid = SpatialGrid(2, 32)
+    f = SampledFunction.constant(grid, ell(2, 2), [1.0, 2.0])
+    assert bmo_norm(f) == 0.0
+    g = SampledFunction(grid, ell(1, 2),
+                        complex_gaussian_array(RandomSource(13), grid.shape + (2,)))
+    assert bmo_norm(g.shifted((5, 11))) == pytest.approx(bmo_norm(g), rel=1e-12)
 
 
 def test_maximal_fn_basics():

@@ -18,6 +18,7 @@ from tentspace.harness import (
     run_suite,
 )
 from tentspace.functionals import bmo_norm, c_fun
+from tentspace.paraproduct import TAIL_TOL
 from tentspace.space import RandomSource, ell
 
 GRID = SpatialGrid(1, 128)
@@ -192,6 +193,23 @@ def test_paraproduct_suite_passes_in_2d():
     rep = run_suite(cfg)
     assert rep.assertions
     assert rep.passed, [a for a in rep.assertions if not a.passed]
+
+
+def test_paraproduct_suite_counts_tails_at_each_end():
+    cfg = ExperimentConfig(suite="paraproduct", **SMALL, p_list=[2.0],
+                           space_q=1.0, space_dim=2)
+    rep = run_suite(cfg)
+    counts = rep.counts
+    assert counts["tail_tol"] == TAIL_TOL
+    fine = [c["tail_fine"] for c in rep.cases]
+    coarse = [c["tail_coarse"] for c in rep.cases]
+    assert len(fine) == len(coarse) == cfg.cases
+    assert counts["tail_fine_above_tol"] == sum(v > TAIL_TOL for v in fine)
+    assert counts["tail_coarse_above_tol"] == sum(v > TAIL_TOL for v in coarse)
+    assert counts["truncated"] == sum(c["truncated"] for c in rep.cases)
+    assert counts["truncated"] == sum(max(a, b) > TAIL_TOL
+                                      for a, b in zip(fine, coarse))
+    assert rep.to_json_obj()["counts"] == counts
 
 
 def test_refine_fails_on_empty_band(monkeypatch):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tentspace.calderon import complementary, gauss_bump, mexican_hat
+from tentspace.calderon import complementary, gauss_bump, mexican_hat, resolve
 from tentspace.field import SampledFunction, ScaleGrid, SpatialGrid
-from tentspace.paraproduct import lp_norm, pair_paraproduct, paraproduct
+from tentspace.paraproduct import TAIL_TOL, lp_norm, pair_paraproduct, paraproduct
 from tentspace.space import RandomSource, complex_gaussian_array, ell, pair
 
 GRID = SpatialGrid(1, 64)
@@ -154,6 +154,94 @@ def test_scale_diagnostics_and_truncation_flag():
     wide = ScaleGrid(0.001, 0.45, 24)
     res_wide = paraproduct(f, u, PSI, PHI, wide)
     assert not res_wide.truncated  # band-limited data decays inside the band
+
+
+def test_scale_tails_split_by_end():
+    f = bandlimited(GRID, ell(2, 2), seed=26, band=12)
+    u = bandlimited(GRID, ell(2, 1), seed=27)
+    res = paraproduct(f, u, PSI, PHI, SCALES)
+    peak = res.scale_norms.max()
+    assert res.tail_fine == res.scale_norms[0] / peak  # t_min end
+    assert res.tail_coarse == res.scale_norms[-1] / peak  # t_max end
+    assert res.truncated == (max(res.scale_norms[0], res.scale_norms[-1])
+                             > TAIL_TOL * peak)
+    # a longer band toward coarse scales empties the coarse end only
+    longer = ScaleGrid(SCALES.t_min, 2.0, 2 * SCALES.K)
+    res_long = paraproduct(f, u, PSI, PHI, longer)
+    assert res_long.tail_coarse < 1e-6 < res.tail_coarse
+    assert res_long.tail_fine == pytest.approx(res.tail_fine, rel=0.05)
+    zero = paraproduct(SampledFunction.constant(GRID, ell(2, 2), [0.0, 0.0]), u,
+                       PSI, PHI, SCALES)
+    assert (zero.tail_fine, zero.tail_coarse, zero.truncated) == (0.0, 0.0, False)
+
+
+def _slices_by_scale(f, u, psi, phi, scales):
+    """The former per-scale loop: two multipliers and four FFTs per scale."""
+    grid = f.grid
+    axes = tuple(range(grid.n))
+    fhat = np.fft.fftn(f.values, axes=axes)
+    uhat = np.fft.fftn(u.values[..., 0], axes=axes)
+    out = []
+    for t in scales.nodes():
+        mp = psi.fourier_grid(grid, float(t))
+        mf = phi.fourier_grid(grid, float(t))
+        a = np.fft.ifftn(fhat * mp[..., None], axes=axes)
+        b = np.fft.ifftn(uhat * mf, axes=axes)
+        prod = a * b[..., None]
+        out.append(np.fft.ifftn(np.fft.fftn(prod, axes=axes) * mp[..., None], axes=axes))
+    return out
+
+
+def _rel(got, want):
+    return float(np.abs(np.asarray(got) - np.asarray(want)).max()
+                 / np.abs(np.asarray(want)).max())
+
+
+@pytest.mark.parametrize("n, N, K", [(1, 64, 8), (1, 128, 12), (2, 16, 6), (2, 32, 8)])
+def test_batched_scales_match_per_scale_loops(n, N, K):
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    psi = mexican_hat(n)
+    phi = complementary(psi)
+    space = ell(1, 2)
+    gen = RandomSource(30 + n).generator()
+    f = SampledFunction(grid, space, complex_gaussian_array(gen, grid.shape + (2,)))
+    u = SampledFunction(grid, ell(2, 1), complex_gaussian_array(gen, grid.shape + (1,)))
+    g = SampledFunction(grid, ell("inf", 2),
+                        complex_gaussian_array(gen, grid.shape + (2,)))
+
+    axes = tuple(range(n))
+    fhat = np.fft.fftn(f.values, axes=axes)
+    want = [np.fft.ifftn(fhat * psi.fourier_grid(grid, float(t))[..., None], axes=axes)
+            for t in scales.nodes()]
+    assert _rel(resolve(f, psi, scales).values, want) < 1e-13
+
+    slices = _slices_by_scale(f, u, psi, phi, scales)
+    acc = np.zeros_like(slices[0])
+    norms = np.zeros(K)
+    total = 0.0 + 0.0j
+    for k, sl in enumerate(slices):
+        acc += scales.dlog * sl
+        norms[k] = scales.dlog * np.sqrt((np.abs(sl) ** 2).sum() * grid.cell_volume)
+        total += scales.dlog * complex(pair(sl, g.values).sum() * grid.cell_volume)
+    res = paraproduct(f, u, psi, phi, scales)
+    assert _rel(res.field.values, acc) < 1e-13
+    assert _rel(res.scale_norms, norms) < 1e-13
+    got = pair_paraproduct(f, u, g, psi, phi, scales)
+    assert abs(got - total) < 1e-13 * abs(total)
+
+
+def test_fourier_grid_accepts_a_scale_array():
+    for n, N in [(1, 32), (2, 8)]:
+        grid = SpatialGrid(n, N)
+        t = ScaleGrid(0.01, 0.3, 5).nodes()
+        for fn in (mexican_hat(n), complementary(mexican_hat(n))):
+            stacked = fn.fourier_grid(grid, t)
+            assert stacked.shape == (5,) + grid.shape
+            for k in range(5):
+                assert np.array_equal(stacked[k], fn.fourier_grid(grid, t[k]))
+    with pytest.raises(ValueError):
+        PSI.fourier_grid(GRID, np.ones((2, 2)))
 
 
 def test_lp_norm_basics():

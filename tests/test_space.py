@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tentspace.space import (
     BanachSpace,
+    _norm_from_squares,
     RandomSource,
     XVector,
     complex_gaussian_array,
@@ -167,6 +168,26 @@ def test_draw_gaussians_empty_and_deterministic():
     assert np.array_equal(a, b)
     c = draw_gaussians(RandomSource(5, 2), 64)
     assert not np.array_equal(a, c)
+
+
+def test_draw_gaussians_keeps_its_two_halves_stream():
+    # the former body: one call for 2*count normals, real half first
+    for count in (1, 7, 64):
+        gen = RandomSource(23, 4).generator()
+        z = gen.standard_normal(2 * count)
+        old = (z[:count] + 1j * z[count:]) / math.sqrt(2.0)
+        assert np.array_equal(draw_gaussians(RandomSource(23, 4), count), old)
+    with pytest.raises(ValueError):
+        draw_gaussians(RandomSource(0), -1)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 4, "inf"])
+def test_norm_from_squares_matches_norm(q):
+    space = ell(q, 3)
+    v = complex_gaussian_array(RandomSource(8), (5, 4, 3))
+    sq = np.moveaxis(v.real ** 2 + v.imag ** 2, -1, 0)
+    got = _norm_from_squares(space, sq, axis=0)
+    np.testing.assert_allclose(got, norm(space, v), rtol=1e-14, atol=0.0)
 
 
 def test_draw_gaussians_second_moment():
