@@ -1,24 +1,35 @@
 """Circular sliding-window sums and maxima on the torus grid.
 
-Window membership is always the strict predicate dist(offset) < radius,
-with offset distances taken from the grid's index-exact distance table, so
-that mask-based oracles and the fast paths here agree on boundary atoms.
+Every window is the open ball dist(offset) < radius, with offset distances
+taken from the grid's index-exact distance table, so that mask-based
+oracles and the kernels here agree on boundary atoms.  ball_segments is
+the one place that decides a ball's shape: it writes the ball as row
+segments (row offset a, column halfwidth h), one segment in 1-D and one
+per row offset in 2-D, listed centre-out (|a| ascending).
 
-n=1 sums use a padded cumulative sum (adding nonnegative terms to a running
-prefix never decreases it, so window-inclusion monotonicity is exact in
-floating point); n=2 sums use FFT convolution with disc indicator masks.
-Maxima use scipy.ndimage rank filters and are exact in both dimensions.
+Both reductions run along the last axis only.  A segment sum is the
+difference of two circular prefix sums of its row; a segment max is a
+wrapped maximum_filter1d, one call per distinct halfwidth.  A 2-D window
+adds (or maxes) the segments of its rows, each rolled by its row offset,
+from the centre row outward.  On nonnegative input every prefix is
+nondecreasing, so a window sum is nonnegative, exactly zero away from the
+input's support, and a larger radius only enlarges terms or appends new
+ones: window-inclusion monotonicity is exact in floating point in both
+dimensions.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage
 
 from .field import SpatialGrid
 
 __all__ = [
-    "radius_halfwidth",
+    "ball_segments",
     "window_count",
     "window_sum",
     "window_max",
@@ -27,90 +38,122 @@ __all__ = [
 ]
 
 
-def radius_halfwidth(grid: SpatialGrid, radius) -> tuple[np.ndarray, np.ndarray]:
-    """n=1 window halfwidth(s) for dist < radius, plus full-circle flags."""
-    r = np.atleast_1d(np.asarray(radius, dtype=float))
-    half = np.arange(1, grid.N // 2 + 1) * grid.spacing
-    h = np.searchsorted(half, r, side="left")
-    full = h == grid.N // 2
-    h = np.where(full, grid.N // 2, h)
-    return h.astype(np.int64), full
+@functools.lru_cache(maxsize=16)
+def _row_distances(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Row offsets centre-out and their offset distances to columns 0..N/2."""
+    half = grid.N // 2
+    dist = grid.offset_distance()
+    if grid.n == 1:
+        a = np.zeros(1, dtype=np.int64)
+        dist = dist[None]
+    else:
+        steps = np.arange(1, half + 1)
+        a = np.concatenate([[0], np.stack([steps, -steps], axis=1).ravel()[:-1]])
+        dist = dist[a % grid.N]
+    dist = dist[:, : half + 1]
+    a.flags.writeable = dist.flags.writeable = False
+    return a, dist
 
 
-def disc_mask(grid: SpatialGrid, radius: float) -> np.ndarray:
-    """n=2 boolean offset mask for dist < radius, shape (N, N)."""
-    return grid.offset_distance() < radius
+def ball_segments(grid: SpatialGrid, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The open balls dist(offset) < r, one per radius, as row segments.
+
+    Returns (a, h, full).  a (S,) holds the row offsets centre-out: 0 in
+    1-D; 0, 1, -1, 2, -2, ..., N/2 in 2-D.  h (K, S) holds each ball's
+    column halfwidth on each row, -1 where the row misses the ball.  full
+    (K, S) marks rows the ball covers whole (h == N/2), where the offsets
+    -h..h would count column N/2 twice.
+    """
+    a, dist = _row_distances(grid)
+    r = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
+    # a row meets the ball iff its column 0 does, so a missed row counts -1
+    h = (dist < r).sum(axis=-1, dtype=np.int64) - 1
+    return a, h, h == grid.N // 2
 
 
 def window_count(grid: SpatialGrid, radius: float) -> int:
     """Number of grid points in an open ball of the given radius."""
-    if grid.n == 1:
-        h, full = radius_halfwidth(grid, radius)
-        return grid.N if bool(full[0]) else int(2 * h[0] + 1)
-    return int(disc_mask(grid, radius).sum())
+    _, h, _ = ball_segments(grid, radius)
+    return int(np.minimum(2 * h + 1, grid.N)[h >= 0].sum())
 
 
-def _rows_1d(arr: np.ndarray, N: int) -> tuple[np.ndarray, tuple]:
-    shape = arr.shape
-    return arr.reshape(-1, N), shape
+def _circ_sum_rows(rows: np.ndarray):
+    """Segment sums of rows (K, R, N) from one set of circular prefix sums.
 
-
-def _circ_sum_rows(rows: np.ndarray, h: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Windowed circular sums of each row with its own halfwidth."""
-    R, N = rows.shape
+    Returns segment(ks, h, full): the rows of scales ``ks``, in that order,
+    summed over the column offsets -h..h, one halfwidth per listed scale.
+    """
+    K, R, N = rows.shape
     H = N // 2
-    ext = np.concatenate([rows[:, N - H:], rows, rows[:, :H]], axis=1)
+    ext = np.concatenate([rows[..., N - H:], rows, rows[..., :H]], axis=-1)
     cs = np.concatenate(
-        [np.zeros((R, 1), dtype=rows.dtype), np.cumsum(ext, axis=1)], axis=1
+        [np.zeros((K, R, 1), dtype=rows.dtype), np.cumsum(ext, axis=-1)], axis=-1
     )
-    x = np.arange(N)[None, :]
-    hh = h[:, None]
-    out = np.take_along_axis(cs, H + x + hh + 1, axis=1) - np.take_along_axis(
-        cs, H + x - hh, axis=1
-    )
-    if np.any(full):
-        out[full] = rows[full].sum(axis=1, keepdims=True)
-    return out
+    # starts[k, r, s, x] = cs[k, r, s + x]: every segment start as a view
+    starts = as_strided(cs, shape=(K, R, 2 * H + 2, N),
+                        strides=cs.strides + cs.strides[-1:], writeable=False)
+
+    def segment(ks, h, full):
+        out = starts[ks, :, H + h + 1] - starts[ks, :, H - h]
+        if full.any():
+            out[full] = rows[ks[full]].sum(axis=-1, keepdims=True)
+        return out
+
+    return segment
 
 
-def _circ_max_rows(rows: np.ndarray, h: np.ndarray, full: np.ndarray) -> np.ndarray:
-    out = np.empty_like(rows)
-    for hv in np.unique(h[~full]) if np.any(~full) else []:
-        sel = (~full) & (h == hv)
-        out[sel] = ndimage.maximum_filter1d(
-            rows[sel], size=int(2 * hv + 1), axis=-1, mode="wrap"
-        )
-    if np.any(full):
-        out[full] = rows[full].max(axis=1, keepdims=True)
-    return out
+def _circ_max_rows(rows: np.ndarray):
+    """Segment maxima of rows (K, R, N); see _circ_sum_rows."""
+
+    def segment(ks, h, full):
+        out = np.empty((ks.size,) + rows.shape[1:], dtype=rows.dtype)
+        for hv in np.unique(h[~full]):
+            grp = h == hv
+            out[grp] = ndimage.maximum_filter1d(
+                rows[ks[grp]], size=int(2 * hv + 1), axis=-1, mode="wrap"
+            )
+        if full.any():
+            out[full] = rows[ks[full]].max(axis=-1, keepdims=True)
+        return out
+
+    return segment
 
 
-def _fft_disc_sum(fields: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Circular correlation of each (N, N) field with a symmetric mask."""
-    mhat = np.fft.fft2(mask.astype(float))
-    fhat = np.fft.fft2(fields, axes=(-2, -1))
-    out = np.fft.ifft2(fhat * mhat, axes=(-2, -1))
-    if np.isrealobj(fields):
-        return out.real
-    return out
+def _per_scale(grid: SpatialGrid, arr: np.ndarray, radii, kernel, combine):
+    """Scale k's slice of arr reduced over the ball of radius radii[k].
 
-
-def _disc_max(fields: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    N = mask.shape[0]
-    footprint = np.fft.fftshift(mask)
-    # crop the footprint to its bounding box around the center for speed
-    rows = np.nonzero(footprint.any(axis=1))[0]
-    cols = np.nonzero(footprint.any(axis=0))[0]
-    lo_r, hi_r = rows.min(), rows.max()
-    lo_c, hi_c = cols.min(), cols.max()
-    c = N // 2
-    half = max(c - lo_r, hi_r - c, c - lo_c, hi_c - c)
-    fp = footprint[c - half: c + half + 1, c - half: c + half + 1]
-    flat = fields.reshape(-1, N, N)
-    out = np.empty_like(flat)
-    for i in range(flat.shape[0]):
-        out[i] = ndimage.maximum_filter(flat[i], footprint=fp, mode="wrap")
-    return out.reshape(fields.shape)
+    The centre row's segments start the result; each further row's
+    segments are shifted by the row offset and combined in, centre-out.
+    Scales run by decreasing radius, so the balls that meet a row are a
+    leading run of them.  Consecutive rows with equal halfwidths (a and -a
+    always) share one segment computation.
+    """
+    radii = np.asarray(radii, dtype=float)
+    K = radii.shape[0]
+    if arr.shape[0] != K:
+        raise ValueError("leading axis of arr must match radii")
+    order = np.argsort(-radii, kind="stable")
+    a, h, full = ball_segments(grid, radii[order])
+    if (h[:, 0] < 0).any():
+        raise ValueError("window radii must be positive")
+    segment = kernel(arr.reshape(K, -1, grid.N))
+    out = segment(order, h[:, 0], full[:, 0])
+    rows = grid.N if grid.n == 2 else 1
+    out = out.reshape(K, -1, rows, grid.N)  # (sorted scale, rest, row, column)
+    for j in range(1, a.size):
+        m = int(np.count_nonzero(h[:, j] >= 0))
+        if m == 0:
+            break  # rows come centre-out, so no later row meets any ball
+        if j == 1 or not np.array_equal(h[:, j], h[:, j - 1]):
+            part = segment(order[:m], h[:m, j], full[:m, j]).reshape(out[:m].shape)
+        # out[x] gains the segments of row x + a: two slabs, no roll copy
+        s = int(a[j]) % rows
+        for dst, src in ((out[:m, :, : rows - s], part[:, :, s:]),
+                         (out[:m, :, rows - s:], part[:, :, :s])):
+            combine(dst, src, out=dst)
+    result = np.empty_like(out)
+    result[order] = out
+    return result.reshape(arr.shape)
 
 
 def window_sum(grid: SpatialGrid, arr: np.ndarray, radius: float) -> np.ndarray:
@@ -118,27 +161,12 @@ def window_sum(grid: SpatialGrid, arr: np.ndarray, radius: float) -> np.ndarray:
 
     arr has shape (..., N) for n=1 or (..., N, N) for n=2.
     """
-    if grid.n == 1:
-        rows, shape = _rows_1d(arr, grid.N)
-        h, full = radius_halfwidth(grid, radius)
-        R = rows.shape[0]
-        out = _circ_sum_rows(rows, np.full(R, h[0]), np.full(R, full[0]))
-        return out.reshape(shape)
-    return _fft_disc_sum(arr, disc_mask(grid, radius))
+    return per_scale_window_sum(grid, arr[None], np.array([radius]))[0]
 
 
 def window_max(grid: SpatialGrid, arr: np.ndarray, radius: float) -> np.ndarray:
     """Max of arr over the open ball of ``radius`` around every grid point."""
-    if grid.n == 1:
-        rows, shape = _rows_1d(arr, grid.N)
-        h, full = radius_halfwidth(grid, radius)
-        R = rows.shape[0]
-        out = _circ_max_rows(rows, np.full(R, h[0]), np.full(R, full[0]))
-        return out.reshape(shape)
-    if disc_mask(grid, radius).sum() == grid.size:
-        flat = arr.reshape(*arr.shape[:-2], -1).max(axis=-1)
-        return np.broadcast_to(flat[..., None, None], arr.shape).copy()
-    return _disc_max(arr, disc_mask(grid, radius))
+    return per_scale_window_max(grid, arr[None], np.array([radius]))[0]
 
 
 def per_scale_window_sum(
@@ -149,40 +177,11 @@ def per_scale_window_sum(
     arr: (K, ..., *spatial); radii: (K,).  Scale k's slice is summed over
     the open ball of radius radii[k] around each point.
     """
-    K = radii.shape[0]
-    if arr.shape[0] != K:
-        raise ValueError("leading axis of arr must match radii")
-    if grid.n == 1:
-        lead = arr.shape[:-1]
-        rows = arr.reshape(-1, grid.N)
-        reps = rows.shape[0] // K
-        h, full = radius_halfwidth(grid, radii)
-        h_rows = np.repeat(h, reps)
-        full_rows = np.repeat(full, reps)
-        return _circ_sum_rows(rows, h_rows, full_rows).reshape(*lead, grid.N)
-    out = np.empty_like(arr)
-    for k in range(K):
-        out[k] = _fft_disc_sum(arr[k], disc_mask(grid, radii[k]))
-    return out
+    return _per_scale(grid, arr, radii, _circ_sum_rows, np.add)
 
 
 def per_scale_window_max(
     grid: SpatialGrid, arr: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
     """Windowed maxima with one radius per scale; see per_scale_window_sum."""
-    K = radii.shape[0]
-    if arr.shape[0] != K:
-        raise ValueError("leading axis of arr must match radii")
-    if grid.n == 1:
-        lead = arr.shape[:-1]
-        rows = arr.reshape(-1, grid.N)
-        reps = rows.shape[0] // K
-        h, full = radius_halfwidth(grid, radii)
-        return _circ_max_rows(
-            rows, np.repeat(h, reps), np.repeat(full, reps)
-        ).reshape(*lead, grid.N)
-    out = np.empty_like(arr)
-    for k in range(K):
-        out[k] = window_max(grid, arr[k], radii[k])
-    return out
-
+    return _per_scale(grid, arr, radii, _circ_max_rows, np.maximum)

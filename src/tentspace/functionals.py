@@ -16,10 +16,11 @@ contains x exactly when its center lies in the same-radius window around
 x, so the sup over balls containing x is a windowed max of windowed means.
 
 The BMO norm needs the mean of ||f(y) - f_B|| over each ball, which no
-windowed sum of f gives.  Its kernel treats a ball as a union of row
-segments (one in 1-D, one per row offset in 2-D) and reads every shifted
-copy of f as a sliding window of one wrap-padded real array, so the
-oscillation of all balls of a radius costs a few blocked array passes
+windowed sum of f gives.  Its kernel walks the row segments that
+_windows.ball_segments gives for each ball (one in 1-D, one per row offset
+in 2-D; the same segments every window sum and max uses) and reads every
+shifted copy of f as a sliding window of one wrap-padded real array, so
+the oscillation of all balls of a radius costs a few blocked array passes
 instead of one roll per window offset.
 """
 
@@ -33,6 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._windows import (
+    ball_segments,
+    per_scale_window_max,
     per_scale_window_sum,
     window_count,
     window_max,
@@ -325,8 +328,6 @@ def n_fun(field: HalfSpaceField, alpha: float = 1.0) -> FunctionalProfile:
     grid, scales = field.grid, field.scales
     mods = field.scalar_modulus()
     radii = alpha * scales.nodes()
-    from ._windows import per_scale_window_max
-
     per_scale = per_scale_window_max(grid, mods, radii)
     return FunctionalProfile(
         "N", grid, per_scale.max(axis=0),
@@ -356,23 +357,6 @@ def maximal_fn(g: SampledFunction) -> FunctionalProfile:
 _BMO_BLOCK_ELEMS = 1 << 16  # reals per oscillation block
 
 
-def _ball_segments(grid: SpatialGrid, r: float) -> list[tuple[int, int]]:
-    """The open ball of radius r as (row offset, column halfwidth) segments.
-
-    n=1 has the single segment (0, h); n=2 has one per row offset a, its
-    column offsets -h..h read from the strict predicate window_sum uses.
-    Radii stay below L/2, so no segment wraps onto itself.
-    """
-    inside = grid.offset_distance() < r
-    half = grid.N // 2
-    if grid.n == 1:
-        return [(0, int(inside[1: half + 1].sum()))]
-    rows = np.nonzero(inside[:, 0])[0]
-    rows = np.where(rows > half, rows - grid.N, rows)
-    return [(int(a), int(inside[a % grid.N, 1: half + 1].sum()))
-            for a in np.sort(rows)]
-
-
 def bmo_norm(f: SampledFunction) -> float:
     """Mean-oscillation norm: sup over dyadic balls of mean ||f - f_B||_X.
 
@@ -391,9 +375,9 @@ def bmo_norm(f: SampledFunction) -> float:
     radii = dyadic_radii(grid)
     vecs = np.moveaxis(f.values, -1, 0)  # (d, *spatial)
     parts = np.concatenate([vecs.real, vecs.imag])  # (2d, *spatial)
-    balls = [_ball_segments(grid, r) for r in radii]
-    pad_r = max(abs(a) for segs in balls for a, _ in segs)
-    pad_c = max(h for segs in balls for _, h in segs)
+    rows, halfwidths, _ = ball_segments(grid, radii)  # radii < L/2: no full rows
+    pad_r = int(np.abs(rows)[(halfwidths >= 0).any(axis=0)].max())
+    pad_c = int(halfwidths.max())
     pads = [(0, 0)] + [(pad_r, pad_r)] * (grid.n - 1) + [(pad_c, pad_c)]
     # shifted[:, pad_r + a, pad_c + c] is f shifted by the offset (a, c)
     shifted = sliding_window_view(np.pad(parts, pads, mode="wrap"), grid.shape,
@@ -405,12 +389,12 @@ def bmo_norm(f: SampledFunction) -> float:
     block = max(1, _BMO_BLOCK_ELEMS // parts.size)
     buf = np.empty((2 * d, block) + grid.shape)
     worst = 0.0
-    for r, segments, total in zip(radii, balls, sums):
+    for r, hw, total in zip(radii, halfwidths, sums):
         count = window_count(grid, r)
         mu = total / count  # ball means, (d, *spatial)
         mu = np.concatenate([mu.real, mu.imag])[:, None]
         acc = np.zeros(grid.shape)
-        for a, h in segments:
+        for a, h in zip(rows[hw >= 0], hw[hw >= 0]):
             row = shifted[:, pad_r + a, pad_c - h: pad_c + h + 1]
             for o in range(0, 2 * h + 1, block):
                 m = min(block, 2 * h + 1 - o)

@@ -374,11 +374,16 @@ def _spearman(a, b) -> float:
 
 
 def _band(values) -> dict:
+    """min, max and max/min of the finite values; ``dropped`` counts the rest."""
+    values = list(values)
     arr = np.asarray([v for v in values if math.isfinite(v)], dtype=float)
+    dropped = len(values) - arr.size
     if arr.size == 0:
-        return {"min": math.nan, "max": math.nan, "spread": math.nan}
+        return {"min": math.nan, "max": math.nan, "spread": math.nan,
+                "dropped": dropped}
     lo, hi = float(arr.min()), float(arr.max())
-    return {"min": lo, "max": hi, "spread": hi / lo if lo > 0 else math.inf}
+    return {"min": lo, "max": hi, "spread": hi / lo if lo > 0 else math.inf,
+            "dropped": dropped}
 
 
 def _default_bmo_corpus(count_each: int = 5) -> list[dict]:
@@ -765,8 +770,9 @@ def suite_paraproduct(cfg: ExperimentConfig) -> Report:
     bands = {}
     assertions = []
     for p in cfg.p_list:
-        vals = [r[f"R_p={p:g}"] for r in rows if math.isfinite(r[f"R_p={p:g}"])]
-        bands[f"R_p={p:g}"] = _band(vals)
+        ratios = [r[f"R_p={p:g}"] for r in rows]
+        bands[f"R_p={p:g}"] = _band(ratios)
+        vals = [v for v in ratios if math.isfinite(v)]
         if vals:
             ok = bool(max(vals) <= r_max)
             detail = f"max R {max(vals):.3g} <= {r_max} (regression baseline x1.5)"
@@ -882,8 +888,9 @@ def suite_good_lambda(cfg: ExperimentConfig) -> Report:
          "rows": t.rows}
         for t in tables
     ]
+    counts = {"wrap_warning": sum(t.wrap_warning for t in tables)}
     return Report("good_lambda", _config_echo(cfg), cases, bands, assertions,
-                  time.time() - t0)
+                  time.time() - t0, counts)
 
 
 SUITES = {

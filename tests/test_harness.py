@@ -103,6 +103,26 @@ def test_all_suites_pass_small(suite):
     assert rep.passed, [a for a in rep.assertions if not a.passed]
     assert rep.wallclock >= 0
     assert rep.config["seed"] == 3
+    if suite == "good_lambda":
+        assert rep.counts == {
+            "wrap_warning": sum(c["wrap_warning"] for c in rep.cases)}
+        assert rep.to_json_obj()["counts"] == rep.counts
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_all_suites_run_in_2d(suite):
+    extra = dict(gamma_list=[1.0, 0.5], beta=3.0) if suite == "good_lambda" else {}
+    cfg = ExperimentConfig(suite=suite, n=2, N=64, K=16, cases=4, seed=3, **extra)
+    rep = run_suite(cfg)
+    assert rep.assertions
+    if suite == "charBMO":
+        # the rank-correlation gate needs the desk-scale corpus, at n = 1 too
+        checks = {a.name: a for a in rep.assertions}
+        failed = [checks[k] for k in ("translation_invariance", "dilation_drift")
+                  if not checks[k].passed]
+    else:
+        failed = [a for a in rep.assertions if not a.passed]
+    assert not failed, failed
 
 
 def test_suite_reports_reproducible():
@@ -186,6 +206,7 @@ def test_paraproduct_suite_fails_cleanly_without_finite_ratios(monkeypatch):
     assert not bounded.passed
     assert "no finite ratio" in bounded.detail
     assert math.isnan(rep.bands["R_p=2"]["max"])
+    assert rep.bands["R_p=2"]["dropped"] == cfg.cases
 
 
 def test_paraproduct_suite_passes_in_2d():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tentspace._windows import (
+    ball_segments,
     per_scale_window_max,
     per_scale_window_sum,
-    radius_halfwidth,
     window_count,
     window_max,
     window_sum,
@@ -53,7 +53,7 @@ def test_window_sum_1d_matches_oracle(radius):
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("radius", [0.05, 0.2, 0.45])
+@pytest.mark.parametrize("radius", [0.05, 0.2, 0.45, 0.6, 0.8])
 def test_window_sum_2d_matches_oracle(radius):
     g = SpatialGrid(2, 16)
     gen = np.random.default_rng(2)
@@ -77,42 +77,59 @@ def test_window_max_matches_oracle(n, N):
     g = SpatialGrid(n, N)
     gen = np.random.default_rng(4)
     arr = gen.normal(size=g.shape)
-    for radius in [0.03, 0.11, 0.3, 0.55]:
+    for radius in [0.03, 0.11, 0.3, 0.55, 0.6, 0.8]:
         got = window_max(g, arr, radius)
         want = brute_window_max(g, arr, radius)
         assert np.array_equal(got, want), radius
 
 
 def test_per_scale_window_sum_and_max():
-    g = SpatialGrid(1, 32)
     gen = np.random.default_rng(5)
-    arr = gen.normal(size=(4, 2, 32))  # (K, extra, N)
-    radii = np.array([0.02, 0.1, 0.24, 0.5])
-    got = per_scale_window_sum(g, arr, radii)
-    gotm = per_scale_window_max(g, arr, radii)
-    for k, r in enumerate(radii):
-        assert np.allclose(got[k], brute_window_sum(g, arr[k], r))
-        assert np.array_equal(gotm[k], brute_window_max(g, arr[k], r))
+    cases = [
+        (SpatialGrid(1, 32), np.array([0.02, 0.1, 0.24, 0.5])),
+        # unsorted radii; 0.7 covers whole rows
+        (SpatialGrid(2, 16), np.array([0.24, 0.02, 0.7, 0.1])),
+    ]
+    for g, radii in cases:
+        arr = gen.normal(size=(4, 2) + g.shape)  # (K, extra, *spatial)
+        got = per_scale_window_sum(g, arr, radii)
+        gotm = per_scale_window_max(g, arr, radii)
+        for k, r in enumerate(radii):
+            assert np.allclose(got[k], brute_window_sum(g, arr[k], r))
+            assert np.array_equal(gotm[k], brute_window_max(g, arr[k], r))
+        with pytest.raises(ValueError, match="positive"):
+            per_scale_window_sum(g, arr, np.array([0.1, 0.0, 0.2, 0.3]))
 
 
-def test_window_sum_monotone_in_radius_for_nonnegative():
-    # exact monotonicity: cumulative prefixes of nonnegative entries
-    g = SpatialGrid(1, 64)
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_window_sum_monotone_in_radius_for_nonnegative(n, N):
+    # exact monotonicity: cumulative prefixes of nonnegative entries, rows
+    # added centre-out; a one-column input gives exact zeros off its support
+    g = SpatialGrid(n, N)
     gen = np.random.default_rng(6)
-    arr = gen.uniform(size=64)
-    prev = None
-    for radius in np.linspace(0.01, 0.49, 25):
-        cur = window_sum(g, arr, radius)
-        if prev is not None:
-            assert np.all(cur >= prev)
-        prev = cur
+    dense = gen.uniform(size=g.shape)
+    column = np.zeros(g.shape)
+    column[..., 5] = gen.uniform(size=g.shape[:-1])
+    for arr in (dense, column):
+        prev = None
+        for radius in np.linspace(0.01, 0.49, 25):
+            cur = window_sum(g, arr, radius)
+            assert np.all(cur >= 0)
+            support = brute_window_sum(g, (arr > 0).astype(float), radius) > 0
+            assert np.all(cur[~support] == 0.0)
+            if prev is not None:
+                assert np.all(cur >= prev)
+            prev = cur
 
 
 def test_window_count_and_halfwidth():
     g = SpatialGrid(1, 16)
-    h, full = radius_halfwidth(g, 3.5 * g.spacing)
-    assert h[0] == 3 and not full[0]
+    _, h, full = ball_segments(g, 3.5 * g.spacing)
+    assert h[0, 0] == 3 and not full[0, 0]
     assert window_count(g, 3.5 * g.spacing) == 7
     assert window_count(g, 10.0) == 16  # window covers the torus
     g2 = SpatialGrid(2, 8)
     assert window_count(g2, g2.spacing * 1.001) == 5  # center + 4 axis neighbours
+    g3 = SpatialGrid(2, 16)
+    for r in np.linspace(0.01, 0.8, 40):
+        assert window_count(g3, r) == (g3.offset_distance() < r).sum(), r
