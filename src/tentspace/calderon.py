@@ -262,13 +262,6 @@ def custom_from_samples(f: SampledFunction, name: str = "custom") -> TestFunctio
                         band=band)
 
 
-def default_annulus(grid: SpatialGrid) -> tuple[float, float]:
-    """Annulus (a, b) for chi: 4x the fundamental up to a quarter Nyquist."""
-    a = 4.0 * 2.0 * math.pi / grid.L
-    b = math.pi * grid.N / grid.L / 4.0
-    return a, b
-
-
 def resolve(f: SampledFunction, psi: TestFunction, scales: ScaleGrid) -> HalfSpaceField:
     """Resolution F(x, t_k) = f * psi_{t_k}(x) by exact cyclic convolution."""
     grid = f.grid

@@ -83,10 +83,6 @@ class WhitneyDecomposition:
     cells: np.ndarray  # source open set as a boolean cell mask
     cubes: list = dc_field(default_factory=list)
 
-    @property
-    def max_level(self) -> int:
-        return max((c.level for c in self.cubes), default=0)
-
 
 def _min_dist_to_points(grid: SpatialGrid, level: int, idx: np.ndarray,
                         pts: np.ndarray) -> np.ndarray:

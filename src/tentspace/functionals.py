@@ -5,10 +5,12 @@ is that restricting a field to the cone of base x and summing is a
 circular windowed sum in x, one window per scale (radius alpha * t_k), so
 a full profile costs K sliding windows instead of N region constructions.
 
-Monte Carlo sweeps (non-Hilbert targets) draw one complex Gaussian per
-half-space atom per trial, shared by every base point: the randomized cone
-sum is then the same windowed sum applied to g * F, and paired comparisons
-across x, alpha or truncation height ride on common random numbers.
+Below height h the randomized cone sum is S ~ CN(0, C_h(x)), where
+C_h(x) = sum_{t_k < h} w_k sum_{|y - x| < alpha t_k} F_k(y) F_k(y)^H comes
+from the same windowed sums of the entries F_i conj(F_j); l^2 needs only
+its trace.  Monte Carlo sweeps (non-Hilbert targets) draw d Gaussians per
+height band per trial from C's PSD roots, shared by every base point, so a
+shifted field sees the same draws and heights ride on common randoms.
 
 Ball suprema (Carleson functional, maximal function, BMO) run over the
 dyadic radius family L*2^-j with grid-point centers: a ball of the family
@@ -48,7 +50,8 @@ from .field import (
     SpatialGrid,
     dyadic_radii,
 )
-from .space import RandomSource, _norm_from_squares, norm
+from .gaussnorm import _estimate_from_moments
+from .space import RandomSource, _norm_from_squares, complex_gaussian_array, norm
 
 __all__ = [
     "FunctionalProfile",
@@ -132,62 +135,62 @@ def _effective_height(scales: ScaleGrid, h) -> float:
     return scales.t_max if h is None or h == math.inf else float(h)
 
 
-def _a_squared_exact(field: HalfSpaceField, alpha: float,
-                     cut_indices: np.ndarray) -> np.ndarray:
-    """A^2 profiles at the given truncation indices, Hilbert path."""
+def _cone_sums(field: HalfSpaceField, alpha: float, entries: np.ndarray,
+               cut_indices: np.ndarray) -> np.ndarray:
+    """sum_{t_k < h} w_k sum_{|y - x| < alpha t_k} entries_k(y) at each cut.
+
+    entries: (K, ..., *spatial).
+    """
     grid, scales = field.grid, field.scales
     w = _scale_weights(grid, scales)
-    sq = (np.abs(field.values) ** 2).sum(axis=-1)
-    rows = w.reshape((-1,) + (1,) * grid.n) * sq
-    radii = alpha * scales.nodes()
-    per_scale = per_scale_window_sum(grid, rows, radii)
+    rows = w.reshape((-1,) + (1,) * (entries.ndim - 1)) * entries
+    per_scale = per_scale_window_sum(grid, rows, alpha * scales.nodes())
     prefix = np.concatenate(
-        [np.zeros((1,) + grid.shape), np.cumsum(per_scale, axis=0)], axis=0
+        [np.zeros((1,) + per_scale.shape[1:], dtype=per_scale.dtype),
+         np.cumsum(per_scale, axis=0)], axis=0
     )
     return prefix[np.asarray(cut_indices, dtype=int)]
 
 
-def _a_mc(field: HalfSpaceField, alpha: float, cut_indices: np.ndarray,
-          trials: int, rng: RandomSource | None) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo A profiles (values, stderr) at each truncation index."""
-    grid, scales = field.grid, field.scales
-    K, d = scales.K, field.space.dim
-    cuts = np.asarray(cut_indices, dtype=int)
-    w = _scale_weights(grid, scales)
-    weighted = np.sqrt(w).reshape((-1,) + (1,) * grid.n + (1,)) * field.values
-    radii = alpha * scales.nodes()
-    gen = (rng if rng is not None else RandomSource(0)).generator()
+_SWEEP_BLOCK_ELEMS = 1 << 20  # complex entries of S per block of points
 
-    # component axis ahead of space so windowed sums need no transposition
-    weighted_t = np.moveaxis(weighted, -1, 1)[:, None]  # (K, 1, d, *spatial)
-    acc1 = np.zeros((cuts.size,) + grid.shape)
-    acc2 = np.zeros((cuts.size,) + grid.shape)
-    chunk = max(1, min(trials, 4_000_000 // (max(K * grid.size * d, 1))))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        re = gen.standard_normal((K, take, 1) + grid.shape)
-        im = gen.standard_normal((K, take, 1) + grid.shape)
-        g = (re + 1j * im) / math.sqrt(2.0)
-        rows = g * weighted_t  # (K, take, d, *spatial)
-        sums = per_scale_window_sum(grid, rows, radii)
-        prefix = np.concatenate(
-            [np.zeros((1,) + sums.shape[1:], dtype=complex), np.cumsum(sums, axis=0)],
-            axis=0,
-        )
-        for c, m in enumerate(cuts):
-            sq = norm(field.space, np.moveaxis(prefix[m], 1, -1)) ** 2  # (take, *spatial)
-            acc1[c] += sq.sum(axis=0)
-            acc2[c] += (sq * sq).sum(axis=0)
-        done += take
 
-    mean = acc1 / trials
-    var = np.maximum(acc2 / trials - mean ** 2, 0.0) * trials / max(trials - 1, 1)
-    values = np.sqrt(mean)
-    stderr = np.zeros_like(values)
-    pos = values > 0
-    stderr[pos] = np.sqrt(var[pos] / trials) / (2.0 * values[pos])
-    return values, stderr
+def _a_sampled(field: HalfSpaceField, alpha: float, cut_indices: np.ndarray,
+               trials: int, rng: RandomSource | None) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo A profiles (values, stderr) at each truncation index.
+
+    The increment of C_h(x) between consecutive distinct cuts (bands) is
+    replaced by its Hermitian PSD root, eigenvalues below 1e-12 of the
+    largest set to 0: a continuous function of C, so a shifted field gets
+    shifted roots.  S = sum over bands of root_b(x) z_b, with one
+    (trials, bands, d) draw z shared by every point, so how the points are
+    blocked changes no output.
+    """
+    grid, d = field.grid, field.space.dim
+    bands, inv = np.unique(cut_indices, return_inverse=True)
+    i, j = np.triu_indices(d)
+    entries = np.moveaxis(field.values[..., i] * field.values[..., j].conj(), -1, 1)
+    cov = np.zeros((bands.size, grid.size, d, d), dtype=complex)
+    cov[..., i, j] = _cone_sums(field, alpha, entries, bands).reshape(
+        bands.size, i.size, grid.size).swapaxes(1, 2)
+    lam, vec = np.linalg.eigh(np.diff(cov, axis=0, prepend=0.0), UPLO="U")
+    lam = np.where(lam > 1e-12 * lam[..., -1:], lam, 0.0)
+    roots = (vec * np.sqrt(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    z = complex_gaussian_array(rng if rng is not None else RandomSource(0),
+                               (trials, bands.size, d))
+    values = np.empty((bands.size, grid.size))
+    stderr = np.empty_like(values)
+    step = max(1, _SWEEP_BLOCK_ELEMS // (trials * d))
+    for lo in range(0, grid.size, step):
+        pts = slice(lo, lo + step)
+        s = np.zeros((min(step, grid.size - lo), trials, d), dtype=complex)
+        for b in range(bands.size):
+            for k in range(d):
+                s += roots[b, pts, None, :, k] * z[None, :, b, k, None]
+            values[b, pts], stderr[b, pts] = _estimate_from_moments(
+                norm(field.space, s) ** 2)
+    shape = (bands.size,) + grid.shape
+    return values.reshape(shape)[inv], stderr.reshape(shape)[inv]
 
 
 def a_fun_cuts(
@@ -201,35 +204,30 @@ def a_fun_cuts(
     """Truncated conical square functions at several heights in one sweep.
 
     Sharing one sweep keeps the truncations perfectly coupled: on the
-    Monte Carlo path every height sees the same Gaussian draws, so height
-    monotonicity and stopping-time logic behave like the exact path.
+    Monte Carlo path each height's sum adds the next band's draws to the
+    sum below it, so every height sees the same Gaussian draws and height
+    monotonicity and stopping-time logic behave like the exact path.  The
+    Monte Carlo path (non-Hilbert targets, or ``force_mc``) needs at least
+    two trials for its stderr.
     """
     if alpha <= 0:
         raise ValueError("aperture must be positive")
     heights = list(heights)
     cuts = np.array([_cut_index(field.scales, h) for h in heights])
     if field.space.is_hilbert and not force_mc:
-        vals = np.sqrt(_a_squared_exact(field, alpha, cuts))
+        sq = (np.abs(field.values) ** 2).sum(axis=-1)
+        vals = np.sqrt(_cone_sums(field, alpha, sq, cuts))
         errs = [None] * len(heights)
     else:
-        vals, errs_arr = _a_mc(field, alpha, cuts, trials, rng)
-        errs = list(errs_arr)
-    out = []
-    for i, h in enumerate(heights):
-        out.append(
-            FunctionalProfile(
-                "A",
-                field.grid,
-                vals[i],
-                {
-                    "alpha": alpha,
-                    "h": _effective_height(field.scales, h),
-                    "t_max": field.scales.t_max,
-                },
-                stderr=None if errs[i] is None else errs[i],
-            )
-        )
-    return out
+        if trials < 2:
+            raise ValueError("Monte Carlo path needs at least two trials")
+        vals, errs = _a_sampled(field, alpha, cuts, trials, rng)
+    return [
+        FunctionalProfile("A", field.grid, v,
+                          {"alpha": alpha, "h": _effective_height(field.scales, h),
+                           "t_max": field.scales.t_max}, stderr=e)
+        for v, e, h in zip(vals, errs, heights)
+    ]
 
 
 def a_fun(
@@ -266,9 +264,9 @@ def c_fun(
     is propagated to each point by the delta method, through the q-mean
     by the bound window_sum(|term|) / count, and through the sup
     conservatively (max of the window's stderr).  The bound holds under
-    any correlation across x: neighbouring cones share atoms, and with
-    them their Gaussian draws, so the errors of a ball's points are not
-    independent and a root-sum-of-squares would understate the error.
+    any correlation across x: every point shares the band draws, so the
+    errors of a ball's points are fully correlated and a
+    root-sum-of-squares would understate the error.
 
     ``a_profiles`` lets a caller reuse truncated A sweeps at exactly the
     dyadic radii instead of recomputing them.

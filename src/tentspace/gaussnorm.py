@@ -8,13 +8,17 @@ on its covariance M^H M, where M = sqrt(w) * F is the A x d weighted atom
 matrix.  So M is factored once, M^H M = R^H R with R upper triangular and
 its diagonal real and nonnegative, and each trial draws min(A, d) complex
 standard Gaussians z and forms S = z R.  The estimate is sqrt(E ||S||^2)
-with a delta-method standard error.
+with a delta-method standard error, the reduction the sweeps also use.
 
 The factor is computed from the atoms in the region's canonical order, so
 estimates are reproducible.  Paired comparisons factor the stacked matrix
 [M | (v - 1) * M] and share one draw between F and v*F, so defects of exact
 identities carry only the Monte Carlo noise of the difference, not of the
 two terms.
+
+Regions factor M by QR, never forming M^H M, so v == 1 defects are exactly
+0.  Cone sweeps (functionals) have no per-point M, only M^H M from window
+sums, so they draw from its Hermitian PSD root instead.
 """
 
 from __future__ import annotations
@@ -87,14 +91,16 @@ def _second_moments(field, region, trials, rng, multiplier=None):
     return m, norm(field.space, s + t[:, field.space.dim:]) ** 2
 
 
-def _estimate_from_moments(m: np.ndarray) -> GaussEstimate:
-    trials = m.size
-    mean = float(m.mean())
-    if mean <= 0.0:
-        return GaussEstimate(0.0, 0.0, trials, False)
-    var = float(m.var(ddof=1)) if trials > 1 else 0.0
-    stderr = math.sqrt(var / trials) / (2.0 * math.sqrt(mean))
-    return GaussEstimate(math.sqrt(mean), stderr, trials, False)
+def _estimate_from_moments(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(E m) and its delta-method stderr along the last (trial) axis.
+
+    A row's result does not depend on the other rows reduced with it.
+    """
+    trials = m.shape[-1]
+    mean = m.mean(axis=-1)
+    value = np.sqrt(mean)
+    safe = np.where(mean > 0.0, value, np.inf)  # mean 0: every trial and var 0
+    return value, np.sqrt(m.var(axis=-1, ddof=1) / trials) / (2.0 * safe)
 
 
 def gauss_norm(
@@ -119,8 +125,8 @@ def gauss_norm(
         return GaussEstimate(math.sqrt(total), 0.0, 0, True)
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
-    m = _second_moments(field, region, trials, rng)
-    return _estimate_from_moments(m)
+    value, stderr = _estimate_from_moments(_second_moments(field, region, trials, rng))
+    return GaussEstimate(float(value), float(stderr), trials, False)
 
 
 def paired_multiplier_defect(
@@ -155,13 +161,12 @@ def paired_multiplier_defect(
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
     m, mb = _second_moments(field, region, trials, rng, multiplier=g_atoms)
-    est, est_b = _estimate_from_moments(m), _estimate_from_moments(mb)
-    diff = mb - m
-    if est.value == 0.0 and est_b.value == 0.0:
+    (est, est_b), _ = _estimate_from_moments(np.stack([m, mb]))
+    if est == 0.0 and est_b == 0.0:
         return 0.0, 0.0
-    denom = 2.0 * max(est.value, est_b.value)
-    stderr = math.sqrt(float(diff.var(ddof=1)) / trials) / denom
-    return est_b.value - est.value, stderr
+    denom = 2.0 * max(est, est_b)
+    stderr = math.sqrt(float((mb - m).var(ddof=1)) / trials) / denom
+    return float(est_b - est), stderr
 
 
 def unimodular_invariance_defect(

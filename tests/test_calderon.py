@@ -9,7 +9,6 @@ from tentspace.calderon import (
     _sqnorm,
     bandpass_meyer,
     complementary,
-    default_annulus,
     dgauss_1,
     gauss_bump,
     make_test_function,
@@ -235,13 +234,6 @@ def test_complementary_builds_in_2d():
         phi = complementary(psi)
         assert phi.n == 2 and phi.integral == 0.0
         assert reproducing_residual(psi, phi, freqs, 1e-3, 1e3, 256) < tol
-
-
-def test_default_annulus_matches_grid_band():
-    grid = SpatialGrid(1, 512, 1.0)
-    a, b = default_annulus(grid)
-    assert a == pytest.approx(8 * math.pi)
-    assert b == pytest.approx(math.pi * 512 / 4)
 
 
 def test_reproducing_residual_mexican_hat():

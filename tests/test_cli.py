@@ -60,6 +60,16 @@ def test_profile_commands(tmp_path, function_file, cmd, key):
     assert summary["max"] >= 0
 
 
+def test_cfun_command_rejects_one_trial(tmp_path, capsys):
+    cfg = {"n": 1, "N": 64, "K": 6, "space": {"q": 1.0, "dim": 3},
+           "field": {"random": {}}, "q": 1.0, "trials": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = run_cli("cfun", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "at least two trials" in capsys.readouterr().err
+
+
 def test_bmo_command(tmp_path, function_file, capsys):
     cfg = {"n": 1, "N": 64, "input": {"file": str(function_file)},
            "space": {"q": 2.0, "dim": 1}}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tentspace import functionals
 from tentspace.field import (
     HalfSpaceField,
     SampledFunction,
@@ -92,6 +93,47 @@ def test_a_fun_mc_agrees_with_exact():
     z = np.abs(mc.values - exact.values) / np.maximum(mc.stderr, 1e-15)
     assert np.mean(z <= 3.0) > 0.95
     assert np.allclose(mc.values, exact.values, rtol=0.12)
+
+
+@pytest.mark.parametrize("q", [1.0, "inf"])
+@pytest.mark.parametrize("n,N,K", [(1, 128, 16), (2, 32, 8)])
+def test_a_fun_mc_translation_equivariance(n, N, K, q):
+    # the band draws are shared by every point and the covariance roots
+    # move with the field, so a shift moves the Monte Carlo profiles too
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    f = random_field(ell(q, 3), 16, grid, scales)
+    heights = list(dyadic_radii(grid)) + [None]
+    shift = N // 3
+    base, moved = (a_fun_cuts(g, 1.0, heights, trials=64, rng=RandomSource(17),
+                              force_mc=True) for g in (f, f.shifted(shift)))
+    axes = tuple(range(n))
+    for p, m in zip(base, moved):
+        np.testing.assert_allclose(m.values, np.roll(p.values, shift, axis=axes),
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(m.stderr, np.roll(p.stderr, shift, axis=axes),
+                                   rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("block", [1, 7 * 64 * 3])
+def test_a_fun_mc_point_blocks_change_no_output(monkeypatch, block):
+    f = random_field(ell(4.0, 3), 18)
+    heights = list(dyadic_radii(GRID))
+    before = a_fun_cuts(f, 1.0, heights, trials=64, rng=RandomSource(19), force_mc=True)
+    monkeypatch.setattr(functionals, "_SWEEP_BLOCK_ELEMS", block)
+    after = a_fun_cuts(f, 1.0, heights, trials=64, rng=RandomSource(19), force_mc=True)
+    for p, m in zip(before, after):
+        assert np.array_equal(p.values, m.values)
+        assert np.array_equal(p.stderr, m.stderr)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_mc_sweep_rejects_fewer_than_two_trials(trials):
+    f = random_field(ell(1, 3), 15)
+    with pytest.raises(ValueError, match="at least two trials"):
+        a_fun(f, 1.0, trials=trials)
+    with pytest.raises(ValueError, match="at least two trials"):
+        c_fun(f, 1.0, trials=trials)
 
 
 def test_a_fun_reports_effective_height():
@@ -320,7 +362,8 @@ def test_profile_rejects_nan():
 
 @pytest.mark.parametrize("q,dim,seed", [(1.0, 3, 40), (4.0, 2, 41), ("inf", 3, 42)])
 def test_a_fun_mc_agrees_with_region_oracle_non_hilbert(q, dim, seed):
-    # two algorithms: the windowed per-atom sweep and the region's covariance factor
+    # two algorithms: the sweep's windowed covariance roots and the region's
+    # QR factor of its atom matrix
     f = random_field(ell(q, dim), seed)
     cuts = a_fun_cuts(f, 1.0, [None, 0.1], trials=1000, rng=RandomSource(seed),
                       force_mc=True)
