@@ -71,10 +71,14 @@ def ball_segments(grid: SpatialGrid, radii) -> tuple[np.ndarray, np.ndarray, np.
     return a, h, h == grid.N // 2
 
 
-def window_count(grid: SpatialGrid, radius: float) -> int:
-    """Number of grid points in an open ball of the given radius."""
+def window_count(grid: SpatialGrid, radius):
+    """Number of grid points in an open ball of the given radius.
+
+    A 1-D array of radii gives one count per radius from one call.
+    """
     _, h, _ = ball_segments(grid, radius)
-    return int(np.minimum(2 * h + 1, grid.N)[h >= 0].sum())
+    counts = np.where(h >= 0, np.minimum(2 * h + 1, grid.N), 0).sum(axis=-1)
+    return int(counts[0]) if np.ndim(radius) == 0 else counts
 
 
 def _circ_sum_rows(rows: np.ndarray):

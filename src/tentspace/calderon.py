@@ -15,7 +15,7 @@ usable in the paraproduct and duality experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -54,21 +54,33 @@ class TestFunction:
     spatial: Callable[[np.ndarray], np.ndarray] | None = None
     integral: float = 0.0
     band: tuple[float, float] | None = None
+    _memo: tuple | None = dc_field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def fourier_grid(self, grid: SpatialGrid, t) -> np.ndarray:
-        """psi_hat(t * xi) on the grid's frequency lattice.
+        """psi_hat(t * xi) on the grid's frequency lattice, read-only.
 
         A scalar t gives the lattice shape; a 1-D array of K scales gives
-        (K, *lattice), one multiplier per scale from a single call.
+        (K, *lattice), one multiplier per scale from a single call.  The
+        last result is kept, keyed by (fourier, grid, t), so resolving and
+        paraproducts that repeat a lattice and scales evaluate the
+        transform once; reassigning ``fourier`` invalidates it.
         """
         if grid.n != self.n:
             raise ValueError(f"{self.name} is {self.n}-dimensional, grid is {grid.n}")
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
             raise ValueError("scales must be a scalar or a 1-D array")
+        key = (self.fourier, grid, t.shape, t.tobytes())
+        last = self._memo  # one read: threads may replace it meanwhile
+        if last is not None and last[0] == key:
+            return last[1]
         xi = grid.xi()
-        return np.asarray(self.fourier(t.reshape(t.shape + (1,) * xi.ndim) * xi),
-                          dtype=complex)
+        out = np.asarray(self.fourier(t.reshape(t.shape + (1,) * xi.ndim) * xi),
+                         dtype=complex)
+        out.flags.writeable = False
+        self._memo = (key, out)
+        return out
 
     def reflected(self) -> "TestFunction":
         """x -> psi(-x); transform xi -> psi_hat(-xi)."""

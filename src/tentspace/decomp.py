@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._windows import per_scale_window_sum
-from .field import HalfSpaceField, ScaleGrid, SpatialGrid
+from .field import HalfSpaceField, ScaleGrid, SpatialGrid, dyadic_radii
 from .functionals import FunctionalProfile, a_fun, a_fun_cuts, c_fun
 from .space import RandomSource
 
@@ -309,16 +309,30 @@ def stopping_time(
 
     +inf where the inequality still holds at t_max.  The empty truncation
     A(F|t_min) = 0 always passes, so tau >= t_min everywhere.
+
+    Without ``cq`` one a_fun_cuts sweep gives A at the dyadic radii and
+    at the scale nodes, and C_q is built from its radius profiles; on the
+    Monte Carlo path C_q and the node profiles therefore share one draw.
+    A passed ``cq`` must be a C_q profile on the field's grid with this
+    call's q and alpha.
     """
     if rho <= 1.0:
         raise ValueError("stopping threshold rho must exceed 1")
     scales = field.scales
-    if cq is None:
-        cq = c_fun(field, q, alpha, trials=trials, rng=rng, force_mc=force_mc)
     nodes = scales.nodes()
-    profs = a_fun_cuts(field, alpha, list(nodes), trials=trials, rng=rng,
+    if cq is not None and (cq.kind != "Cq" or cq.grid != field.grid
+                           or cq.params.get("q") != q
+                           or cq.params.get("alpha") != alpha):
+        raise ValueError(
+            f"cq must be a C_q profile on the field's grid with q={q} and "
+            f"alpha={alpha}; got {cq.kind!r} with q={cq.params.get('q')}, "
+            f"alpha={cq.params.get('alpha')} on {cq.grid}")
+    radii = dyadic_radii(field.grid) if cq is None else []
+    profs = a_fun_cuts(field, alpha, [*radii, *nodes], trials=trials, rng=rng,
                        force_mc=force_mc)
-    a_vals = np.stack([p.values for p in profs])  # (K, *spatial)
+    if cq is None:
+        cq = c_fun(field, q, alpha, radii=radii, a_profiles=profs[: len(radii)])
+    a_vals = np.stack([p.values for p in profs[len(radii):]])  # (K, *spatial)
     passes = a_vals <= rho * cq.values[None]
     # A(F|t_0) sums nothing, so node 0 always passes and a last pass exists
     k_star = scales.K - 1 - np.argmax(passes[::-1], axis=0)

@@ -124,11 +124,13 @@ def _scale_weights(grid: SpatialGrid, scales: ScaleGrid) -> np.ndarray:
     return grid.cell_volume * scales.dlog * t ** (-grid.n)
 
 
-def _cut_index(scales: ScaleGrid, h) -> int:
-    """Number of scale nodes strictly below the truncation height."""
-    if h is None or h == math.inf:
-        return scales.K
-    return int(np.searchsorted(scales.nodes(), h, side="left"))
+def _cut_indices(scales: ScaleGrid, heights) -> np.ndarray:
+    """Number of scale nodes strictly below each truncation height.
+
+    None (like inf) keeps every node.
+    """
+    h = np.array([math.inf if v is None else v for v in heights], dtype=float)
+    return np.searchsorted(scales.nodes(), h, side="left")
 
 
 def _effective_height(scales: ScaleGrid, h) -> float:
@@ -213,7 +215,7 @@ def a_fun_cuts(
     if alpha <= 0:
         raise ValueError("aperture must be positive")
     heights = list(heights)
-    cuts = np.array([_cut_index(field.scales, h) for h in heights])
+    cuts = _cut_indices(field.scales, heights)
     if field.space.is_hilbert and not force_mc:
         sq = (np.abs(field.values) ** 2).sum(axis=-1)
         vals = np.sqrt(_cone_sums(field, alpha, sq, cuts))
@@ -260,22 +262,27 @@ def c_fun(
 
     For each dyadic radius r the truncated profile A(F|r) is averaged in
     q-th power over every ball of radius r, and the sup over balls
-    containing x is the windowed max of those means.  Monte Carlo stderr
-    is propagated to each point by the delta method, through the q-mean
-    by the bound window_sum(|term|) / count, and through the sup
-    conservatively (max of the window's stderr).  The bound holds under
-    any correlation across x: every point shares the band draws, so the
-    errors of a ball's points are fully correlated and a
-    root-sum-of-squares would understate the error.
+    containing x is the windowed max of those means.  All radii go
+    through one per_scale_window_sum of the stacked A(F|r)^q and one
+    per_scale_window_max of the means.  Monte Carlo stderr is propagated
+    to each point by the delta method, through the q-mean by the bound
+    window_sum(|term|) / count, and through the sup conservatively (max
+    of the window's stderr); it rides in the same two window calls, and
+    each point takes the stderr of the first radius attaining its sup.
+    The bound holds under any correlation across x: every point shares
+    the band draws, so the errors of a ball's points are fully correlated
+    and a root-sum-of-squares would understate the error.
 
     ``a_profiles`` lets a caller reuse truncated A sweeps at exactly the
-    dyadic radii instead of recomputing them.
+    radii instead of recomputing them.  An empty radius list is rejected.
     """
     if q <= 0:
         raise ValueError("q must be positive")
     grid = field.grid
     if radii is None:
         radii = dyadic_radii(grid)
+    if len(radii) == 0:
+        raise ValueError("c_fun needs at least one radius")
     if a_profiles is not None:
         if len(a_profiles) != len(radii):
             raise ValueError("a_profiles must match the radius list")
@@ -283,25 +290,24 @@ def c_fun(
     else:
         profiles = a_fun_cuts(field, alpha, list(radii), trials=trials,
                               rng=rng, force_mc=force_mc)
-    best = np.zeros(grid.shape)
-    best_err = np.zeros(grid.shape)
+    a = np.stack([p.values for p in profiles])  # (R, *spatial)
+    terms = [a ** q]
     mc = profiles[0].stderr is not None
-    for r, prof in zip(radii, profiles):
-        count = window_count(grid, r)
-        mean_q = window_sum(grid, prof.values ** q, r) / count
-        cand = window_max(grid, mean_q, r)
-        if mc:
-            a, s = prof.values, prof.stderr
-            pos = a > 0  # a ** (q - 1) is infinite at a = 0 when q < 1
-            term = np.zeros_like(a)
-            term[pos] = q * a[pos] ** (q - 1.0) * s[pos]
-            err_mean = window_sum(grid, np.abs(term), r) / count
-            cand_err = window_max(grid, err_mean, r)
-            best_err = np.where(cand > best, cand_err, best_err)
-        best = np.maximum(best, cand)
+    if mc:
+        s = np.stack([p.stderr for p in profiles])
+        pos = a > 0  # a ** (q - 1) is infinite at a = 0 when q < 1
+        term = np.zeros_like(a)
+        term[pos] = q * a[pos] ** (q - 1.0) * s[pos]
+        terms.append(np.abs(term))
+    counts = window_count(grid, radii).reshape((-1, 1) + (1,) * grid.n)
+    means = per_scale_window_sum(grid, np.stack(terms, axis=1), radii) / counts
+    cands = per_scale_window_max(grid, means, radii)  # (R, 1 or 2, *spatial)
+    best = cands[:, 0].max(axis=0)
     values = best ** (1.0 / q)
     stderr = None
     if mc:
+        first = np.argmax(cands[:, 0], axis=0)[None]
+        best_err = np.take_along_axis(cands[:, 1], first, axis=0)[0]
         stderr = np.where(values > 0, best_err / q * best ** (1.0 / q - 1.0), 0.0)
     return FunctionalProfile(
         "Cq",
@@ -387,8 +393,8 @@ def bmo_norm(f: SampledFunction) -> float:
     block = max(1, _BMO_BLOCK_ELEMS // parts.size)
     buf = np.empty((2 * d, block) + grid.shape)
     worst = 0.0
-    for r, hw, total in zip(radii, halfwidths, sums):
-        count = window_count(grid, r)
+    counts = window_count(grid, radii).tolist()
+    for count, hw, total in zip(counts, halfwidths, sums):
         mu = total / count  # ball means, (d, *spatial)
         mu = np.concatenate([mu.real, mu.imag])[:, None]
         acc = np.zeros(grid.shape)
@@ -417,8 +423,8 @@ def c2_box_profile(field: HalfSpaceField) -> FunctionalProfile:
     sq = np.abs(field.values[..., 0]) ** 2
     t = scales.nodes()
     best = np.zeros(grid.shape)
-    for r in dyadic_radii(grid):
-        m = _cut_index(scales, r)
+    radii = dyadic_radii(grid)
+    for r, m in zip(radii, _cut_indices(scales, radii)):
         if m == 0:
             continue
         count = window_count(grid, r)

@@ -225,6 +225,36 @@ def test_complementary_matches_per_point_normalizer_2d(make):
     assert active > 0
 
 
+def test_fourier_grid_keeps_its_last_result():
+    base = mexican_hat(1)
+    calls = []
+
+    def counted(xi):
+        calls.append(1)
+        return base.fourier(xi)
+
+    psi = TestFunction("counted", 1, counted)
+    grid, wide = SpatialGrid(1, 64), SpatialGrid(1, 128)
+    t = ScaleGrid(2.0 * grid.spacing, 0.25, 8).nodes()
+
+    def uncached(g, s):
+        return np.asarray(base.fourier(np.asarray(s)[..., None] * g.xi()), dtype=complex)
+
+    first = psi.fourier_grid(grid, t)
+    assert np.array_equal(first, uncached(grid, t))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    assert psi.fourier_grid(grid, t.copy()) is first and len(calls) == 1
+    # new scales (also the same bytes in another shape), a new grid, and a
+    # reassigned transform each evaluate afresh
+    for g, s in ((grid, t[:4]), (grid, t[0]), (grid, t[:1]), (wide, t)):
+        assert np.array_equal(psi.fourier_grid(g, s), uncached(g, s))
+    assert len(calls) == 5
+    psi.fourier = lambda xi: 2.0 * base.fourier(xi)
+    assert np.array_equal(psi.fourier_grid(wide, t), 2.0 * uncached(wide, t))
+
+
 def test_complementary_builds_in_2d():
     # 7 rays, off the lattice axes, at two radii inside both annuli
     ang = 2.0 * math.pi * np.arange(7) / 7 + 0.1

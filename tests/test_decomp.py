@@ -127,6 +127,37 @@ def test_stopping_time_nonincreasing_under_enlargement():
     assert np.all(t2 <= t1)
 
 
+@pytest.mark.parametrize("n, N", [(1, 128), (2, 16)])
+@pytest.mark.parametrize("q, alpha", [(1.0, 1.0), (2.0, 2.0)])
+def test_stopping_time_shared_sweep_matches_passed_cq(n, N, q, alpha):
+    from tentspace.harness import generate_column_corpus
+
+    grid = SpatialGrid(n, N)
+    fields = [random_field(26, grid, SCALES, ell(2, 2))]
+    # a single column stops at finite heights for this rho
+    fields += generate_column_corpus(grid, SCALES, ell(2, 2), 1, RandomSource(78),
+                                     columns=1)
+    rho = 1.2
+    finite = 0
+    for f in fields:
+        shared = stopping_time(f, q=q, rho=rho, alpha=alpha)
+        passed = stopping_time(f, q=q, rho=rho, alpha=alpha, cq=c_fun(f, q, alpha))
+        assert np.array_equal(shared.tau, passed.tau)
+        assert np.array_equal(shared.cut_index, passed.cut_index)
+        finite += int(np.isfinite(shared.tau).sum())
+    assert finite > 0
+
+
+def test_stopping_time_rejects_a_mismatched_cq():
+    from tentspace.functionals import a_fun
+
+    f = random_field(25)
+    other = random_field(25, grid=SpatialGrid(1, 64))
+    for cq in (c_fun(f, 2.0), c_fun(f, 1.0, alpha=2.0), a_fun(f, 1.0), c_fun(other, 1.0)):
+        with pytest.raises(ValueError, match="cq must be"):
+            stopping_time(f, q=1.0, rho=2.0, cq=cq)
+
+
 def test_stopping_time_rejects_rho_at_most_one():
     with pytest.raises(ValueError):
         stopping_time(random_field(23), q=1.0, rho=1.0)

@@ -9,6 +9,7 @@ from tentspace.field import (
     SampledFunction,
     ScaleGrid,
     SpatialGrid,
+    ball_at,
     cone_region,
     dyadic_radii,
 )
@@ -22,7 +23,7 @@ from tentspace.functionals import (
     maximal_fn,
     n_fun,
 )
-from tentspace._windows import window_count, window_sum
+from tentspace._windows import window_count, window_max, window_sum
 from tentspace.gaussnorm import gauss_norm
 from tentspace.space import RandomSource, complex_gaussian_array, ell, norm
 
@@ -195,6 +196,104 @@ def test_c_fun_mc_stderr_is_the_correlation_free_bound(q):
     assert np.all(got.stderr >= old * (1.0 - 1e-12))
     assert np.any(got.stderr > 1.5 * old)
     assert c_fun(random_field(ell(2, 1), 9, grid, scales), q).stderr is None
+
+
+def test_c_fun_rejects_an_empty_radius_list():
+    f = random_field(ell(2, 1), 16)
+    with pytest.raises(ValueError, match="at least one radius"):
+        c_fun(f, 1.0, radii=np.array([]))
+    with pytest.raises(ValueError, match="at least one radius"):
+        c_fun(f, 1.0, radii=[], a_profiles=[])
+    with pytest.raises(ValueError, match="must match the radius list"):
+        c_fun(f, 1.0, a_profiles=[])
+
+
+def _c_fun_per_radius(profiles, radii, q):
+    """C_q (values, stderr) with one window_sum and window_max per radius."""
+    grid = profiles[0].grid
+    best = np.zeros(grid.shape)
+    best_err = np.zeros(grid.shape)
+    mc = profiles[0].stderr is not None
+    for r, prof in zip(radii, profiles):
+        count = window_count(grid, r)
+        mean_q = window_sum(grid, prof.values ** q, r) / count
+        cand = window_max(grid, mean_q, r)
+        if mc:
+            a, s = prof.values, prof.stderr
+            pos = a > 0
+            term = np.zeros_like(a)
+            term[pos] = q * a[pos] ** (q - 1.0) * s[pos]
+            err_mean = window_sum(grid, np.abs(term), r) / count
+            cand_err = window_max(grid, err_mean, r)
+            best_err = np.where(cand > best, cand_err, best_err)
+        best = np.maximum(best, cand)
+    values = best ** (1.0 / q)
+    if not mc:
+        return values, None
+    return values, np.where(values > 0, best_err / q * best ** (1.0 / q - 1.0), 0.0)
+
+
+@pytest.mark.parametrize("n, N, K", [(1, 128, 12), (2, 16, 8)])
+@pytest.mark.parametrize("space, force_mc", [(ell(2, 2), False), (ell(1, 3), True),
+                                             (ell("inf", 3), True)])
+def test_c_fun_batched_windows_match_per_radius_loop(n, N, K, space, force_mc):
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    radii = dyadic_radii(grid)
+    f = random_field(space, 17, grid, scales)
+    for alpha in (1.0, 2.0):
+        cuts = a_fun_cuts(f, alpha, list(radii), trials=32, rng=RandomSource(4),
+                          force_mc=force_mc)
+        for q in (0.5, 1.0, 3.0):
+            got = c_fun(f, q, alpha, radii=radii, a_profiles=cuts)
+            values, stderr = _c_fun_per_radius(cuts, radii, q)
+            assert np.array_equal(got.values, values)
+            assert (got.stderr is None) == (stderr is None)
+            if stderr is not None:
+                assert np.array_equal(got.stderr, stderr)
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_c_fun_stderr_comes_from_the_first_radius_attaining_the_sup(n, N):
+    # constant profiles tie every radius exactly; stderr differs by radius
+    grid = SpatialGrid(n, N)
+    radii = dyadic_radii(grid)
+    f = HalfSpaceField.zeros(grid, ScaleGrid(0.01, 0.25, 4), ell(1, 2))
+    ones = np.ones(grid.shape)
+    cuts = [FunctionalProfile("A", grid, ones, stderr=(k + 1) * 0.125 * ones)
+            for k in range(radii.size)]
+    got = c_fun(f, 1.0, radii=radii, a_profiles=cuts)
+    values, stderr = _c_fun_per_radius(cuts, radii, 1.0)
+    assert np.array_equal(got.values, values) and np.all(values == 1.0)
+    assert np.array_equal(got.stderr, stderr) and np.all(stderr == 0.125)
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_c_fun_matches_explicit_ball_oracle(n, N, alpha):
+    # A from explicit cone regions at every point, C_q from explicit loops
+    # over every dyadic ball and its centre
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, 8)
+    f = random_field(ell(2, 2), 31, grid, scales)
+    radii = dyadic_radii(grid)
+    points = [grid.coords()[idx] for idx in np.ndindex(grid.shape)]
+    sq = (np.abs(f.values) ** 2).sum(axis=-1).reshape(scales.K, -1)
+    a = np.empty((radii.size, grid.size))
+    for k, r in enumerate(radii):
+        for i, x in enumerate(points):
+            cone = cone_region(grid, scales, x, alpha, r)
+            a[k, i] = math.sqrt((cone.weights * sq[cone.scale_idx, cone.spatial_idx]).sum())
+    for q in (1.0, 2.0):
+        best = np.zeros(grid.size)
+        for k, r in enumerate(radii):
+            for c in points:
+                ball = ball_at(grid, c, r)
+                members = (grid.point_distance(ball.center) < ball.radius).reshape(-1)
+                mean = (a[k, members] ** q).mean()
+                best[members] = np.maximum(best[members], mean)
+        got = c_fun(f, q, alpha).values.reshape(-1)
+        np.testing.assert_allclose(got, best ** (1.0 / q), rtol=1e-12, atol=0)
 
 
 def test_c_fun_dominated_by_maximal_of_a_power():

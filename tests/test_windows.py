@@ -131,5 +131,7 @@ def test_window_count_and_halfwidth():
     g2 = SpatialGrid(2, 8)
     assert window_count(g2, g2.spacing * 1.001) == 5  # center + 4 axis neighbours
     g3 = SpatialGrid(2, 16)
-    for r in np.linspace(0.01, 0.8, 40):
+    radii = np.linspace(0.01, 0.8, 40)
+    for r in radii:
         assert window_count(g3, r) == (g3.offset_distance() < r).sum(), r
+    assert window_count(g3, radii).tolist() == [window_count(g3, r) for r in radii]
