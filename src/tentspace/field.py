@@ -242,7 +242,8 @@ class Region:
 
     Atoms are stored flat in canonical (scale, spatial) order so that
     Monte Carlo estimates over the atoms are independent of construction
-    order.
+    order.  Atoms that arrive in that order (every mask-built region, since
+    np.nonzero is row-major) are kept as they are, without a sort.
     """
 
     grid: SpatialGrid
@@ -259,10 +260,13 @@ class Region:
             raise ValueError("region index/weight arrays must share a shape")
         if np.any(self.weights <= 0):
             raise ValueError("region weights must be strictly positive")
-        order = np.lexsort((self.spatial_idx, self.scale_idx))
-        self.spatial_idx = self.spatial_idx[order]
-        self.scale_idx = self.scale_idx[order]
-        self.weights = self.weights[order]
+        # with spatial indices in [0, grid.size) this key orders like the lexsort
+        key = self.scale_idx * self.grid.size + self.spatial_idx
+        if not (key[1:] >= key[:-1]).all():
+            order = np.lexsort((self.spatial_idx, self.scale_idx))
+            self.spatial_idx = self.spatial_idx[order]
+            self.scale_idx = self.scale_idx[order]
+            self.weights = self.weights[order]
 
     @property
     def size(self) -> int:

@@ -7,10 +7,12 @@ a full profile costs K sliding windows instead of N region constructions.
 
 Below height h the randomized cone sum is S ~ CN(0, C_h(x)), where
 C_h(x) = sum_{t_k < h} w_k sum_{|y - x| < alpha t_k} F_k(y) F_k(y)^H comes
-from the same windowed sums of the entries F_i conj(F_j); l^2 needs only
-its trace.  Monte Carlo sweeps (non-Hilbert targets) draw d Gaussians per
-height band per trial from C's PSD roots, shared by every base point, so a
-shifted field sees the same draws and heights ride on common randoms.
+from the same windowed sums of the entries F_i conj(F_j).  Where
+gaussnorm has a closed form for E ||S||^2 the sweep is exact: l^2 and
+d = 1 need only the trace of C, l^1_d its upper triangle.  Monte Carlo
+sweeps (other targets, or ``force_mc``) draw d Gaussians per height band
+per trial from C's PSD roots, shared by every base point, so a shifted
+field sees the same draws and heights ride on common randoms.
 
 Ball suprema (Carleson functional, maximal function, BMO) run over the
 dyadic radius family L*2^-j with grid-point centers: a ball of the family
@@ -50,7 +52,7 @@ from .field import (
     SpatialGrid,
     dyadic_radii,
 )
-from .gaussnorm import _estimate_from_moments
+from .gaussnorm import _closed_form_moment, _estimate_from_moments
 from .space import RandomSource, _norm_from_squares, complex_gaussian_array, norm
 
 __all__ = [
@@ -154,6 +156,17 @@ def _cone_sums(field: HalfSpaceField, alpha: float, entries: np.ndarray,
     return prefix[np.asarray(cut_indices, dtype=int)]
 
 
+def _cone_covariance(field: HalfSpaceField, alpha: float,
+                     cut_indices: np.ndarray) -> np.ndarray:
+    """Upper triangle of C_h(x) at each cut: (cuts, *spatial, d(d+1)/2).
+
+    Entries on the last axis in np.triu_indices(d) order.
+    """
+    i, j = np.triu_indices(field.space.dim)
+    entries = np.moveaxis(field.values[..., i] * field.values[..., j].conj(), -1, 1)
+    return np.moveaxis(_cone_sums(field, alpha, entries, cut_indices), 1, -1)
+
+
 _SWEEP_BLOCK_ELEMS = 1 << 20  # complex entries of S per block of points
 
 
@@ -171,10 +184,9 @@ def _a_sampled(field: HalfSpaceField, alpha: float, cut_indices: np.ndarray,
     grid, d = field.grid, field.space.dim
     bands, inv = np.unique(cut_indices, return_inverse=True)
     i, j = np.triu_indices(d)
-    entries = np.moveaxis(field.values[..., i] * field.values[..., j].conj(), -1, 1)
     cov = np.zeros((bands.size, grid.size, d, d), dtype=complex)
-    cov[..., i, j] = _cone_sums(field, alpha, entries, bands).reshape(
-        bands.size, i.size, grid.size).swapaxes(1, 2)
+    cov[..., i, j] = _cone_covariance(field, alpha, bands).reshape(
+        bands.size, grid.size, i.size)
     lam, vec = np.linalg.eigh(np.diff(cov, axis=0, prepend=0.0), UPLO="U")
     lam = np.where(lam > 1e-12 * lam[..., -1:], lam, 0.0)
     roots = (vec * np.sqrt(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
@@ -205,20 +217,30 @@ def a_fun_cuts(
 ) -> list[FunctionalProfile]:
     """Truncated conical square functions at several heights in one sweep.
 
-    Sharing one sweep keeps the truncations perfectly coupled: on the
-    Monte Carlo path each height's sum adds the next band's draws to the
-    sum below it, so every height sees the same Gaussian draws and height
-    monotonicity and stopping-time logic behave like the exact path.  The
-    Monte Carlo path (non-Hilbert targets, or ``force_mc``) needs at least
-    two trials for its stderr.
+    The sweep is exact (stderr None) for l^2 and l^1 targets and at
+    d = 1: each point's E ||S||^2 comes in closed form from its cone
+    covariance (the trace, or for l^1 the full upper triangle).  Other
+    targets, and every target under ``force_mc``, take the Monte Carlo
+    path, which needs at least two trials for its stderr.  Sharing one
+    sweep keeps the truncations perfectly coupled: there each height's sum
+    adds the next band's draws to the sum below it, so every height sees
+    the same Gaussian draws and height monotonicity and stopping-time
+    logic behave like the exact path.
     """
     if alpha <= 0:
         raise ValueError("aperture must be positive")
     heights = list(heights)
     cuts = _cut_indices(field.scales, heights)
-    if field.space.is_hilbert and not force_mc:
-        sq = (np.abs(field.values) ** 2).sum(axis=-1)
-        vals = np.sqrt(_cone_sums(field, alpha, sq, cuts))
+    # held until the profiles are built: with it alive the trace path
+    # allocates as the l^2 sweep always has, and repeated sweeps do not
+    # trim and re-fault the heap (about 3x the minor faults per op otherwise)
+    sq = (np.abs(field.values) ** 2).sum(axis=-1)
+    moment = None if force_mc else _closed_form_moment(
+        field.space,
+        lambda: _cone_sums(field, alpha, sq, cuts),
+        lambda: _cone_covariance(field, alpha, cuts))
+    if moment is not None:
+        vals = np.sqrt(moment)
         errs = [None] * len(heights)
     else:
         if trials < 2:

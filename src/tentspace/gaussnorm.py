@@ -1,11 +1,21 @@
 """Gauss norms of fields restricted to regions.
 
-For an l^2 target the Gauss norm collapses to the weighted L^2 sum over
-the region's atoms and is computed exactly.  Otherwise it is estimated by
-Monte Carlo.  The randomized sum S = sum_i g_i sqrt(w_i) F_i over the A
-atoms is a circular complex Gaussian vector in C^d whose law depends only
-on its covariance M^H M, where M = sqrt(w) * F is the A x d weighted atom
-matrix.  So M is factored once, M^H M = R^H R with R upper triangular and
+The randomized sum S = sum_i g_i sqrt(w_i) F_i over the A atoms is a
+circular complex Gaussian vector in C^d whose law depends only on its
+covariance C = M^H M, where M = sqrt(w) * F is the A x d weighted atom
+matrix.  So the Gauss norm sqrt(E ||S||^2) is a function of C alone, and
+one helper, _closed_form_moment, gives E ||S||^2 exactly wherever a
+closed form exists:
+
+- l^2, and every target at d = 1: the trace of C, the weighted L^2 sum
+  over the atoms.
+- l^1_d: the diagonal of C plus, for each pair of components, the product
+  moment of two correlated Rayleigh moduli, a 2F1 of their squared
+  correlation.
+
+Exact results carry stderr 0.  Other targets (l^q with q != 1, 2 and
+l^inf at d >= 2), and every target under ``force_mc``, are estimated by
+Monte Carlo: M is factored once, M^H M = R^H R with R upper triangular and
 its diagonal real and nonnegative, and each trial draws min(A, d) complex
 standard Gaussians z and forms S = z R.  The estimate is sqrt(E ||S||^2)
 with a delta-method standard error, the reduction the sweeps also use.
@@ -18,7 +28,8 @@ two terms.
 
 Regions factor M by QR, never forming M^H M, so v == 1 defects are exactly
 0.  Cone sweeps (functionals) have no per-point M, only M^H M from window
-sums, so they draw from its Hermitian PSD root instead.
+sums: they take the same closed forms from it, and otherwise draw from its
+Hermitian PSD root.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .field import HalfSpaceField, Region
 from .space import RandomSource, complex_gaussian_array, dual, norm, pair
@@ -57,6 +69,35 @@ class GaussEstimate:
 def _atom_values(field: HalfSpaceField, region: Region) -> tuple[np.ndarray, np.ndarray]:
     vals = region.restrict(field)
     return vals, np.sqrt(region.weights)
+
+
+def _closed_form_moment(space, trace, covariance):
+    """E ||S||_X^2 for S ~ CN(0, C) in closed form, or None where none exists.
+
+    Each argument is called only by the branch that needs it: ``trace()``
+    gives tr C, ``covariance()`` C's upper triangle, entries on the last
+    axis in np.triu_indices(d) order; any leading axes broadcast.
+
+    - l^2, and every target at d = 1: tr C.
+    - l^1_d: sum_j C_jj + sum_{i != j} (pi/4) sqrt(C_ii C_jj)
+      2F1(-1/2, -1/2; 1; |C_ij|^2 / (C_ii C_jj)), the product moment of two
+      correlated Rayleigh moduli (K. S. Miller, Multidimensional Gaussian
+      Distributions, 1964).  The squared correlation is clipped to [0, 1],
+      and a pair with a zero variance adds no cross term.
+    """
+    if space.is_hilbert or space.dim == 1:
+        return trace()
+    if space.q != 1.0:
+        return None
+    upper = covariance()
+    i, j = np.triu_indices(space.dim)
+    off = i < j
+    var = np.maximum(upper[..., ~off].real, 0.0)
+    prod = var[..., i[off]] * var[..., j[off]]
+    live = prod > 0.0
+    rho2 = np.clip(np.abs(upper[..., off]) ** 2 / np.where(live, prod, 1.0), 0.0, 1.0)
+    cross = np.where(live, np.sqrt(prod) * hyp2f1(-0.5, -0.5, 1.0, rho2), 0.0)
+    return var.sum(axis=-1) + (math.pi / 2.0) * cross.sum(axis=-1)
 
 
 def _covariance_factor(m: np.ndarray) -> np.ndarray:
@@ -112,17 +153,26 @@ def gauss_norm(
 ) -> GaussEstimate:
     """Gauss norm of the field restricted to the region.
 
-    Exact (stderr 0) when the target is l^2 and ``force_mc`` is off;
-    otherwise a Monte Carlo estimate with ``trials`` draws.  Each draw is
-    min(A, d) complex Gaussians times the region's covariance factor, not
-    one Gaussian per atom.
+    Exact (stderr 0, ``trials`` 0) for l^2 and l^1 targets and at d = 1,
+    unless ``force_mc`` is set; otherwise a Monte Carlo estimate with
+    ``trials`` draws.  Each draw is min(A, d) complex Gaussians times the
+    region's covariance factor, not one Gaussian per atom.
     """
     if region.size == 0:
         return GaussEstimate(0.0, 0.0, 0, True)
-    if field.space.is_hilbert and not force_mc:
-        vals, wsqrt = _atom_values(field, region)
-        total = float((region.weights * (np.abs(vals) ** 2).sum(axis=1)).sum())
-        return GaussEstimate(math.sqrt(total), 0.0, 0, True)
+    if not force_mc:
+        def trace():
+            vals = region.restrict(field)
+            return (region.weights * (np.abs(vals) ** 2).sum(axis=1)).sum()
+
+        def covariance():
+            vals, wsqrt = _atom_values(field, region)
+            m = wsqrt[:, None] * vals
+            return (m.T @ m.conj())[np.triu_indices(field.space.dim)]
+
+        moment = _closed_form_moment(field.space, trace, covariance)
+        if moment is not None:
+            return GaussEstimate(math.sqrt(float(moment)), 0.0, 0, True)
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
     value, stderr = _estimate_from_moments(_second_moments(field, region, trials, rng))

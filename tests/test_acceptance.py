@@ -85,7 +85,8 @@ def test_criterion_2_rank_one_identity():
             xi = complex_gaussian_array(g, space.dim)
             F = HalfSpaceField(GRID, SCALES, space, h[..., None] * xi)
             region = random_region(np.random.default_rng(base + case))
-            est = gauss_norm(F, region, trials=2000, rng=RandomSource(base + 500 + case))
+            est = gauss_norm(F, region, trials=2000, rng=RandomSource(base + 500 + case),
+                             force_mc=True)
             flat = h.reshape(SCALES.K, GRID.size)
             h_atoms = flat[region.scale_idx, region.spatial_idx]
             oracle = math.sqrt(float((region.weights * np.abs(h_atoms) ** 2).sum()))

@@ -61,7 +61,7 @@ def test_profile_commands(tmp_path, function_file, cmd, key):
 
 
 def test_cfun_command_rejects_one_trial(tmp_path, capsys):
-    cfg = {"n": 1, "N": 64, "K": 6, "space": {"q": 1.0, "dim": 3},
+    cfg = {"n": 1, "N": 64, "K": 6, "space": {"q": "inf", "dim": 3},
            "field": {"random": {}}, "q": 1.0, "trials": 1}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -173,6 +173,24 @@ def test_region_canonical_order_and_restrict():
     vals = r.restrict(f)
     assert vals.shape == (3, 2)
     assert vals[0, 1] == 2.0
+    # a tie in scale with the spatial indices out of order still sorts
+    r = Region(g, s, np.array([1, 7, 3, 2]), np.array([0, 1, 1, 2]),
+               np.array([1.0, 2.0, 3.0, 4.0]))
+    assert list(r.spatial_idx) == [1, 3, 7, 2]
+    assert list(r.weights) == [1.0, 3.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_mask_built_regions_are_already_canonical(n, N):
+    # np.nonzero is row-major, so the constructor's sort has nothing to do
+    g = SpatialGrid(n, N)
+    s = ScaleGrid(2.0 * g.spacing, 0.25, 8)
+    x = 0.3 if n == 1 else (0.3, 0.6)
+    for r in (cone_region(g, s, x, 1.0, 0.2), box_region(g, s, ball_at(g, x, 0.2))):
+        order = np.lexsort((r.spatial_idx, r.scale_idx))
+        assert r.size > 0
+        for got in (r.spatial_idx, r.scale_idx, r.weights):
+            assert np.array_equal(got, got[order])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])

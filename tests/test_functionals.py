@@ -44,19 +44,20 @@ def random_scalar_fn(seed, grid=GRID):
 
 
 def test_a_fun_zero_field():
-    f = HalfSpaceField.zeros(GRID, SCALES, ell(2, 2))
-    prof = a_fun(f, 1.0)
-    assert prof.max() == 0.0
+    for space in (ell(2, 2), ell(1, 3)):
+        prof = a_fun(HalfSpaceField.zeros(GRID, SCALES, space), 1.0)
+        assert prof.stderr is None and prof.max() == 0.0
 
 
 def test_a_fun_matches_region_oracle():
-    f = random_field(ell(2, 1), 1)
-    for alpha, h in [(1.0, None), (0.7, 0.1), (2.0, 0.05)]:
-        prof = a_fun(f, alpha, h)
-        for i in [0, 17, 63, 100]:
-            region = cone_region(GRID, SCALES, GRID.spacing * i, alpha, h)
-            oracle = gauss_norm(f, region).value
-            assert prof.values[i] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+    for f in (random_field(ell(2, 1), 1), random_field(ell(1, 3), 22)):
+        for alpha, h in [(1.0, None), (0.7, 0.1), (2.0, 0.05)]:
+            prof = a_fun(f, alpha, h)
+            assert prof.stderr is None
+            for i in [0, 17, 63, 100]:
+                region = cone_region(GRID, SCALES, GRID.spacing * i, alpha, h)
+                oracle = gauss_norm(f, region).value
+                assert prof.values[i] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
 
 
 def test_a_fun_matches_region_oracle_2d():
@@ -84,6 +85,34 @@ def test_a_fun_translation_equivariance():
     prof = a_fun(f, 1.0)
     prof_shift = a_fun(f.shifted(21), 1.0)
     assert np.allclose(prof_shift.values, np.roll(prof.values, 21), atol=1e-10)
+
+
+@pytest.mark.parametrize("n,N,K", [(1, 128, 16), (2, 32, 8)])
+def test_a_fun_exact_l1_heights_monotone(n, N, K):
+    # the closed form is monotone in the covariance, and each height's
+    # covariance adds a band to the one below it
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    f = random_field(ell(1, 3), 20, grid, scales)
+    heights = sorted(dyadic_radii(grid)) + [None]
+    cuts = a_fun_cuts(f, 1.0, heights)
+    assert all(p.stderr is None for p in cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert np.all(lo.values <= hi.values * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("n,N,K", [(1, 128, 16), (2, 32, 8)])
+def test_a_fun_exact_l1_translation_equivariance(n, N, K):
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    f = random_field(ell(1, 3), 21, grid, scales)
+    heights = list(dyadic_radii(grid)) + [None]
+    shift = N // 3
+    base, moved = (a_fun_cuts(g, 1.0, heights) for g in (f, f.shifted(shift)))
+    axes = tuple(range(n))
+    for p, m in zip(base, moved):
+        np.testing.assert_allclose(m.values, np.roll(p.values, shift, axis=axes),
+                                   rtol=1e-12, atol=0)
 
 
 def test_a_fun_mc_agrees_with_exact():
@@ -132,9 +161,9 @@ def test_a_fun_mc_point_blocks_change_no_output(monkeypatch, block):
 def test_mc_sweep_rejects_fewer_than_two_trials(trials):
     f = random_field(ell(1, 3), 15)
     with pytest.raises(ValueError, match="at least two trials"):
-        a_fun(f, 1.0, trials=trials)
+        a_fun(f, 1.0, trials=trials, force_mc=True)
     with pytest.raises(ValueError, match="at least two trials"):
-        c_fun(f, 1.0, trials=trials)
+        c_fun(f, 1.0, trials=trials, force_mc=True)
 
 
 def test_a_fun_reports_effective_height():
@@ -273,27 +302,35 @@ def test_c_fun_stderr_comes_from_the_first_radius_attaining_the_sup(n, N):
 def test_c_fun_matches_explicit_ball_oracle(n, N, alpha):
     # A from explicit cone regions at every point, C_q from explicit loops
     # over every dyadic ball and its centre
+    # l^1_3 takes A from each explicit cone's exact region Gauss norm
     grid = SpatialGrid(n, N)
     scales = ScaleGrid(2.0 * grid.spacing, 0.25, 8)
-    f = random_field(ell(2, 2), 31, grid, scales)
     radii = dyadic_radii(grid)
     points = [grid.coords()[idx] for idx in np.ndindex(grid.shape)]
-    sq = (np.abs(f.values) ** 2).sum(axis=-1).reshape(scales.K, -1)
-    a = np.empty((radii.size, grid.size))
-    for k, r in enumerate(radii):
-        for i, x in enumerate(points):
-            cone = cone_region(grid, scales, x, alpha, r)
-            a[k, i] = math.sqrt((cone.weights * sq[cone.scale_idx, cone.spatial_idx]).sum())
-    for q in (1.0, 2.0):
-        best = np.zeros(grid.size)
+    for space in (ell(2, 2), ell(1, 3)):
+        f = random_field(space, 31, grid, scales)
+        sq = (np.abs(f.values) ** 2).sum(axis=-1).reshape(scales.K, -1)
+        a = np.empty((radii.size, grid.size))
         for k, r in enumerate(radii):
-            for c in points:
-                ball = ball_at(grid, c, r)
-                members = (grid.point_distance(ball.center) < ball.radius).reshape(-1)
-                mean = (a[k, members] ** q).mean()
-                best[members] = np.maximum(best[members], mean)
-        got = c_fun(f, q, alpha).values.reshape(-1)
-        np.testing.assert_allclose(got, best ** (1.0 / q), rtol=1e-12, atol=0)
+            for i, x in enumerate(points):
+                cone = cone_region(grid, scales, x, alpha, r)
+                if space.is_hilbert:
+                    a[k, i] = math.sqrt(
+                        (cone.weights * sq[cone.scale_idx, cone.spatial_idx]).sum())
+                else:
+                    a[k, i] = gauss_norm(f, cone).value
+        for q in (1.0, 2.0):
+            best = np.zeros(grid.size)
+            for k, r in enumerate(radii):
+                for c in points:
+                    ball = ball_at(grid, c, r)
+                    members = (grid.point_distance(ball.center) < ball.radius).reshape(-1)
+                    mean = (a[k, members] ** q).mean()
+                    best[members] = np.maximum(best[members], mean)
+            got = c_fun(f, q, alpha)
+            assert got.stderr is None
+            np.testing.assert_allclose(got.values.reshape(-1), best ** (1.0 / q),
+                                       rtol=1e-12, atol=0)
 
 
 def test_c_fun_dominated_by_maximal_of_a_power():

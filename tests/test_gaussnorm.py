@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from tentspace.field import HalfSpaceField, Region, ScaleGrid, SpatialGrid, cone_region
+from tentspace.field import (
+    HalfSpaceField,
+    Region,
+    ScaleGrid,
+    SpatialGrid,
+    ball_at,
+    box_region,
+    cone_region,
+)
 from tentspace.gaussnorm import (
+    _closed_form_moment,
     duality_defect,
     gauss_norm,
     paired_multiplier_defect,
@@ -65,7 +74,7 @@ def test_gauss_norm_agrees_with_per_atom_sampler(q, d):
     seed = 600 + 10 * d + (0 if q == "inf" else int(q))
     f = random_field(ell(q, d), seed)
     for r in (random_region(seed), small_region(max(d - 1, 1), seed)):
-        est = gauss_norm(f, r, trials=2000, rng=RandomSource(seed))
+        est = gauss_norm(f, r, trials=2000, rng=RandomSource(seed), force_mc=True)
         ref, ref_err = moments_estimate(per_atom_moments(f, r, 2000, seed + 1))
         assert not est.exact and est.trials == 2000
         assert abs(est.value - ref) <= 4.0 * math.hypot(est.stderr, ref_err)
@@ -132,7 +141,7 @@ def test_rank_one_identity():
         h = complex_gaussian_array(gen, (SCALES.K,) + GRID.shape)
         xi = complex_gaussian_array(gen, space.dim)
         f = HalfSpaceField(GRID, SCALES, space, h[..., None] * xi)
-        est = gauss_norm(f, r, trials=4000, rng=RandomSource(seed))
+        est = gauss_norm(f, r, trials=4000, rng=RandomSource(seed), force_mc=True)
         flat = h.reshape(SCALES.K, GRID.size)
         h_atoms = flat[r.scale_idx, r.spatial_idx]
         oracle = math.sqrt(float((r.weights * np.abs(h_atoms) ** 2).sum()))
@@ -242,3 +251,68 @@ def test_duality_defect_rejects_mismatch():
     r = random_region(31)
     with pytest.raises(ValueError):
         duality_defect(f, g, r)
+
+
+def test_exact_l1_rank_one_identity():
+    # the closed form needs no draws: the identity holds to roundoff
+    for seed in range(5, 10):
+        gen = RandomSource(seed).generator()
+        r = random_region(seed + 50)
+        h = complex_gaussian_array(gen, (SCALES.K,) + GRID.shape)
+        xi = complex_gaussian_array(gen, 3)
+        f = HalfSpaceField(GRID, SCALES, ell(1, 3), h[..., None] * xi)
+        est = gauss_norm(f, r)
+        h_atoms = h.reshape(SCALES.K, GRID.size)[r.scale_idx, r.spatial_idx]
+        oracle = math.sqrt(float((r.weights * np.abs(h_atoms) ** 2).sum()))
+        oracle *= float(norm(ell(1, 3), xi))
+        assert est.exact and est.stderr == 0.0 and est.trials == 0
+        assert est.value == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_l1_agrees_with_forced_draws(d):
+    f = random_field(ell(1, d), 800 + d)
+    regions = [cone_region(GRID, SCALES, GRID.spacing * 9, 1.0, 0.2),
+               cone_region(GRID, SCALES, GRID.spacing * 40, 0.5),
+               box_region(GRID, SCALES, ball_at(GRID, GRID.spacing * 20, 0.1)),
+               box_region(GRID, SCALES, ball_at(GRID, GRID.spacing * 51, 0.25))]
+    for k, r in enumerate(regions):
+        exact = gauss_norm(f, r)
+        mc = gauss_norm(f, r, trials=20_000, rng=RandomSource(810 + k), force_mc=True)
+        assert exact.exact and not mc.exact
+        assert abs(exact.value - mc.value) <= 4.0 * mc.stderr, (d, k)
+
+
+@pytest.mark.parametrize("q", [4.0, "inf"])
+def test_exact_at_dimension_one_for_every_target(q):
+    # at d = 1 every l^q norm is the modulus: the l^2 value, exactly
+    f = random_field(ell(q, 1), 830)
+    r = random_region(831)
+    est = gauss_norm(f, r)
+    hilbert = gauss_norm(HalfSpaceField(GRID, SCALES, ell(2, 1), f.values), r)
+    assert est.exact and est.value == hilbert.value
+
+
+def test_exact_l1_zero_component_and_zero_field():
+    f = random_field(ell(1, 2), 840)
+    padded = HalfSpaceField(GRID, SCALES, ell(1, 3),
+                            np.concatenate([f.values, np.zeros_like(f.values[..., :1])],
+                                           axis=-1))
+    r = random_region(841)
+    est = gauss_norm(padded, r)
+    assert est.exact and math.isfinite(est.value)
+    assert est.value == pytest.approx(gauss_norm(f, r).value, rel=1e-14)
+    zero = gauss_norm(HalfSpaceField.zeros(GRID, SCALES, ell(1, 3)), r)
+    assert zero.exact and zero.value == 0.0
+
+
+def test_closed_form_clips_the_squared_correlation():
+    # roundoff can push |C_ij|^2 past C_ii C_jj; the moment stays that of
+    # perfect correlation, (sum_j sqrt(C_jj))^2
+    space = ell(1, 2)
+    upper = np.array([4.0, 6.0 * (1.0 + 1e-12), 9.0], dtype=complex)
+    moment = _closed_form_moment(space, None, lambda: upper)
+    assert moment == pytest.approx(25.0, rel=1e-12)
+    zero_var = np.array([4.0, 0.0, 0.0], dtype=complex)
+    assert _closed_form_moment(space, None, lambda: zero_var) == 4.0
+
