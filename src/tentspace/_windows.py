@@ -89,10 +89,14 @@ def _circ_sum_rows(rows: np.ndarray):
     """
     K, R, N = rows.shape
     H = N // 2
-    ext = np.concatenate([rows[..., N - H:], rows, rows[..., :H]], axis=-1)
+    shared = rows.strides[0] == 0  # a broadcast: every scale has the same rows
+    src = rows[:1] if shared else rows
+    ext = np.concatenate([src[..., N - H:], src, src[..., :H]], axis=-1)
     cs = np.concatenate(
-        [np.zeros((K, R, 1), dtype=rows.dtype), np.cumsum(ext, axis=-1)], axis=-1
+        [np.zeros(src.shape[:2] + (1,), dtype=rows.dtype), np.cumsum(ext, axis=-1)],
+        axis=-1,
     )
+    cs = np.broadcast_to(cs, (K,) + cs.shape[1:])
     # starts[k, r, s, x] = cs[k, r, s + x]: every segment start as a view
     starts = as_strided(cs, shape=(K, R, 2 * H + 2, N),
                         strides=cs.strides + cs.strides[-1:], writeable=False)

@@ -260,13 +260,20 @@ class Region:
             raise ValueError("region index/weight arrays must share a shape")
         if np.any(self.weights <= 0):
             raise ValueError("region weights must be strictly positive")
-        # with spatial indices in [0, grid.size) this key orders like the lexsort
+        atoms = self.spatial_idx.size
+        # as unsigned, a negative index is huge: one max checks both ends
+        if atoms and self.spatial_idx.view(np.uint64).max() >= self.grid.size:
+            _check_index("spatial", self.spatial_idx.min(), self.spatial_idx.max(),
+                         self.grid.size)
+        # spatial indices lie in [0, grid.size), so this key orders like the lexsort
         key = self.scale_idx * self.grid.size + self.spatial_idx
         if not (key[1:] >= key[:-1]).all():
             order = np.lexsort((self.spatial_idx, self.scale_idx))
             self.spatial_idx = self.spatial_idx[order]
             self.scale_idx = self.scale_idx[order]
             self.weights = self.weights[order]
+        if atoms:  # scale_idx is sorted now
+            _check_index("scale", self.scale_idx[0], self.scale_idx[-1], self.scales.K)
 
     @property
     def size(self) -> int:
@@ -286,6 +293,13 @@ class Region:
         m = np.zeros((self.scales.K, self.grid.size), dtype=bool)
         m[self.scale_idx, self.spatial_idx] = True
         return m.reshape((self.scales.K,) + self.grid.shape)
+
+
+def _check_index(name: str, lo, hi, stop: int) -> None:
+    """Reject a region whose smallest or largest index lies outside [0, stop)."""
+    if lo < 0 or hi >= stop:
+        bad = int(lo if lo < 0 else hi)
+        raise ValueError(f"region {name} index {bad} is outside [0, {stop})")
 
 
 def _region_from_mask(grid, scales, mask, weights_per_scale) -> Region:

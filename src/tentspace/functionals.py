@@ -20,22 +20,25 @@ contains x exactly when its center lies in the same-radius window around
 x, so the sup over balls containing x is a windowed max of windowed means.
 
 The BMO norm needs the mean of ||f(y) - f_B|| over each ball, which no
-windowed sum of f gives.  Its kernel walks the row segments that
-_windows.ball_segments gives for each ball (one in 1-D, one per row offset
-in 2-D; the same segments every window sum and max uses) and reads every
-shifted copy of f as a sliding window of one wrap-padded real array, so
-the oscillation of all balls of a radius costs a few blocked array passes
-instead of one roll per window offset.
+windowed sum of f gives.  Windowed sums of f and of ||f||_2^2 do give an
+upper bound for every ball at once (Jensen: the mean is at most c_X times
+the root of the mean squared l^2 deviation), and the sup is usually
+reached where that bound is large.  So the kernel computes the exact
+oscillation only for balls whose bound can still beat the best found so
+far, gathering their points along the row segments that
+_windows.ball_segments gives (one in 1-D, one per row offset in 2-D; the
+same segments every window sum and max uses) from one wrap-padded real
+array.  The result is the exact sup.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._windows import (
     ball_segments,
@@ -380,56 +383,125 @@ def maximal_fn(g: SampledFunction) -> FunctionalProfile:
     return FunctionalProfile("M", grid, best, {"radii": "dyadic"})
 
 
-_BMO_BLOCK_ELEMS = 1 << 16  # reals per oscillation block
+_BMO_BLOCK_ELEMS = 1 << 16  # reals per gathered block of balls
+_BMO_SLACK = 1e-10  # bound slack under the root, relative to mean ||f||_2^2
+
+
+@functools.lru_cache(maxsize=16)
+def _bmo_balls(grid: SpatialGrid):
+    """The dyadic balls as offsets into the wrap-padded, flattened grid.
+
+    Returns (counts, src, base, offsets): the ball sizes per radius; src,
+    the grid point behind every padded position; base, every centre's
+    padded position; and per radius the offsets of the ball's points from
+    its centre, row segment by row segment (centre-out), columns ascending.
+    """
+    rows, halfwidths, _ = ball_segments(grid, dyadic_radii(grid))
+    pad_r = int(np.abs(rows)[(halfwidths >= 0).any(axis=0)].max())
+    pad_c = int(halfwidths.max())  # radii < L/2: no ball covers a full row
+    lead = [pad_r] * (grid.n - 1) + [pad_c]
+    shape = tuple(grid.N + 2 * p for p in lead)
+    src = np.ravel_multi_index(
+        np.ix_(*[np.arange(-p, grid.N + p) % grid.N for p in lead]), grid.shape).ravel()
+    base = np.ravel_multi_index(
+        np.ix_(*[np.arange(grid.N) + p for p in lead]), shape).ravel()
+    offsets = tuple(np.concatenate([a * shape[-1] + np.arange(-h, h + 1)
+                                    for a, h in zip(rows, hw) if h >= 0])
+                    for hw in halfwidths)
+    counts = np.array([o.size for o in offsets])
+    for arr in (counts, src, base) + offsets:
+        arr.flags.writeable = False
+    return counts, src, base, offsets
+
+
+def _bmo_bounds(f: SampledFunction):
+    """Ball means and the Jensen bound on each ball's mean oscillation.
+
+    f is centred first.  Returns (chans, mus, bounds): chans (2d + 1, size)
+    holds the real parts, imaginary parts and squared l^2 norm of the
+    centred f; mus (K, 2d, size) its ball means, parts stacked the same
+    way; bounds (K, size) the bound of bmo_norm, per dyadic radius and
+    centre.
+    """
+    grid, space, d = f.grid, f.space, f.space.dim
+    radii = dyadic_radii(grid)
+    counts = _bmo_balls(grid)[0]
+    vecs = np.moveaxis(f.values, -1, 0).reshape(d, -1)
+    vecs = vecs - vecs.mean(axis=1, keepdims=True)
+    chans = np.empty((2 * d + 1, grid.size))
+    chans[:d], chans[d:-1] = vecs.real, vecs.imag
+    np.square(chans[:-1]).sum(axis=0, out=chans[-1])
+    stack = np.broadcast_to(chans.reshape((-1,) + grid.shape),
+                            (radii.size, 2 * d + 1) + grid.shape)
+    means = per_scale_window_sum(grid, stack, radii).reshape(radii.size, 2 * d + 1, -1)
+    means /= counts[:, None, None]
+    mus = means[:, :-1]
+    spread = means[:, -1] - np.square(mus).sum(axis=1)  # mean_B ||f - f_B||_2^2
+    c_x = d ** max(0.0, (0.0 if space.q is None else 1.0 / space.q) - 0.5)
+    slack = _BMO_SLACK * float(chans[-1].mean())
+    return chans, mus, c_x * np.sqrt(np.maximum(spread, 0.0) + slack)
 
 
 def bmo_norm(f: SampledFunction) -> float:
     """Mean-oscillation norm: sup over dyadic balls of mean ||f - f_B||_X.
 
-    For each dyadic radius r the ball means mu(x) = f_B(x, r) are windowed
-    means.  The oscillation sum over the offsets o of the ball of
-    ||f(x + o) - mu(x)|| walks the ball's row segments: the real and
-    imaginary parts of f are wrap-padded once as a (2d, *spatial) array,
-    and a sliding window view over the pad holds f shifted by every
-    offset.  Offsets go in blocks of about _BMO_BLOCK_ELEMS reals; each
-    block squares f(x + o) - mu(x), adds the real and imaginary halves
-    into per-component squared moduli and reduces them to the l^q norm.
-    Every point sums its offsets in the same order, so the norm is
-    translation invariant to roundoff, and a constant gives exactly 0.
+    Bound and prune.  Oscillations ignore constants, so f is first centred
+    (f minus its grid mean).  The windowed means of f and of ||f||_2^2 then
+    give, for every ball B of every dyadic radius, the ball mean f_B and
+    Jensen's bound
+
+        mean_B ||f - f_B||_X <= c_X sqrt(mean_B ||f||_2^2 - ||f_B||_2^2),
+
+    with c_X = d^max(0, 1/q - 1/2) the largest ratio of the l^q to the l^2
+    norm on C^d.  _BMO_SLACK * mean ||f||_2^2 is added under the root, so
+    that prefix-sum cancellation cannot push a bound below its ball's
+    oscillation; centring keeps a constant offset of f out of that slack,
+    where it would stop all pruning.  The running best starts at the exact
+    oscillation of the ball with the largest bound.  Radii then go by
+    descending largest bound, and the centres of a radius by descending
+    bound; a ball's oscillation is computed only while ~(bound <= best),
+    so a NaN or infinite bound is always evaluated, never pruned.  Every
+    pruned ball has an oscillation of at most best, so the sup is exact.
+
+    The balls to evaluate are gathered from one wrap-padded array of the
+    real and imaginary parts of f, a block of about _BMO_BLOCK_ELEMS reals
+    at a time, into one buffer allocated per call.  Each ball's offsets
+    come in a fixed order (its row segments centre-out, columns
+    ascending), and each centre sums its offsets in that order, so the
+    norm is translation invariant to roundoff, and a constant gives
+    exactly 0.
     """
-    grid, d = f.grid, f.space.dim
-    radii = dyadic_radii(grid)
-    vecs = np.moveaxis(f.values, -1, 0)  # (d, *spatial)
-    parts = np.concatenate([vecs.real, vecs.imag])  # (2d, *spatial)
-    rows, halfwidths, _ = ball_segments(grid, radii)  # radii < L/2: no full rows
-    pad_r = int(np.abs(rows)[(halfwidths >= 0).any(axis=0)].max())
-    pad_c = int(halfwidths.max())
-    pads = [(0, 0)] + [(pad_r, pad_r)] * (grid.n - 1) + [(pad_c, pad_c)]
-    # shifted[:, pad_r + a, pad_c + c] is f shifted by the offset (a, c)
-    shifted = sliding_window_view(np.pad(parts, pads, mode="wrap"), grid.shape,
-                                  axis=tuple(range(1, 1 + grid.n)))
-    if grid.n == 1:
-        shifted = shifted[:, None]
-    sums = per_scale_window_sum(
-        grid, np.broadcast_to(vecs, (radii.size,) + vecs.shape), radii)
-    block = max(1, _BMO_BLOCK_ELEMS // parts.size)
-    buf = np.empty((2 * d, block) + grid.shape)
-    worst = 0.0
-    counts = window_count(grid, radii).tolist()
-    for count, hw, total in zip(counts, halfwidths, sums):
-        mu = total / count  # ball means, (d, *spatial)
-        mu = np.concatenate([mu.real, mu.imag])[:, None]
-        acc = np.zeros(grid.shape)
-        for a, h in zip(rows[hw >= 0], hw[hw >= 0]):
-            row = shifted[:, pad_r + a, pad_c - h: pad_c + h + 1]
-            for o in range(0, 2 * h + 1, block):
-                m = min(block, 2 * h + 1 - o)
-                diff = np.subtract(row[:, o: o + m], mu, out=buf[:, :m])
-                np.square(diff, out=diff)
-                sq = np.add(diff[:d], diff[d:], out=diff[:d])
-                acc += _norm_from_squares(f.space, sq, axis=0).sum(axis=0)
-        worst = max(worst, float(acc.max()) / count)
-    return worst
+    grid, space, d = f.grid, f.space, f.space.dim
+    counts, src, base, offsets = _bmo_balls(grid)
+    chans, mus, bounds = _bmo_bounds(f)
+    padded = np.take(chans[:-1], src, axis=1)  # (2d, padded size), C order
+    buf = np.empty(max(_BMO_BLOCK_ELEMS, 2 * d * int(counts.max())))
+    idx = np.empty(buf.size // (2 * d), dtype=np.intp)
+
+    def oscillation(k, centres):
+        s, m = centres.size, int(counts[k])
+        ix = np.add(base[centres, None], offsets[k], out=idx[: s * m].reshape(s, m))
+        # indices are in range; mode="raise" would gather into a temporary first
+        g = np.take(padded, ix, axis=1, out=buf[: 2 * d * s * m].reshape(2 * d, s, m),
+                    mode="clip")
+        np.subtract(g, mus[k][:, centres, None], out=g)
+        np.square(g, out=g)
+        sq = np.add(g[:d], g[d:], out=g[:d])
+        return float(_norm_from_squares(space, sq).sum(axis=-1).max()) / m
+
+    k, x = np.unravel_index(np.argmax(bounds), bounds.shape)
+    best = oscillation(k, np.array([x]))
+    for k in np.argsort(-bounds.max(axis=1), kind="stable"):
+        bound = bounds[k]
+        todo = np.flatnonzero(~(bound <= best))
+        todo = todo[np.argsort(-bound[todo], kind="stable")]
+        step = buf.size // (2 * d * int(counts[k]))  # buf holds at least one ball
+        for i in range(0, todo.size, step):
+            centres = todo[i: i + step]
+            centres = centres[~(bound[centres] <= best)]
+            if centres.size:
+                best = max(best, oscillation(k, centres))
+    return best
 
 
 def c2_box_profile(field: HalfSpaceField) -> FunctionalProfile:

@@ -97,15 +97,24 @@ def _norm_from_squares(space: BanachSpace, sq: np.ndarray, axis: int = 0) -> np.
     """l^q norm from squared component moduli |v_i|^2 stacked along ``axis``.
 
     Kernels that hold real and imaginary parts apart reduce here without
-    forming a complex array; :func:`norm` keeps its own evaluation.
+    forming a complex array; :func:`norm` keeps its own evaluation.  The
+    reduction runs in place, component by component: sq is overwritten and
+    the result is a view of it, so a kernel's buffer needs no temporaries.
     """
-    if space.q is None:
-        return np.sqrt(sq.max(axis=axis))
+    parts = np.moveaxis(sq, axis, 0)
+    out = parts[0]
     if space.q == 1.0:
-        return np.sqrt(sq).sum(axis=axis)
-    if space.q == 2.0:
-        return np.sqrt(sq.sum(axis=axis))
-    return (sq ** (space.q / 2.0)).sum(axis=axis) ** (1.0 / space.q)
+        np.sqrt(parts, out=parts)
+    elif space.q not in (None, 2.0):
+        np.power(parts, space.q / 2.0, out=parts)
+    combine = np.maximum if space.q is None else np.add
+    for part in parts[1:]:
+        combine(out, part, out=out)
+    if space.q is None or space.q == 2.0:
+        np.sqrt(out, out=out)
+    elif space.q != 1.0:
+        np.power(out, 1.0 / space.q, out=out)
+    return out
 
 
 def pair(x: np.ndarray, xd: np.ndarray) -> np.ndarray:

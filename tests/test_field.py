@@ -193,6 +193,22 @@ def test_mask_built_regions_are_already_canonical(n, N):
             assert np.array_equal(got, got[order])
 
 
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 4)])
+def test_region_rejects_atoms_outside_the_grid(n, N):
+    from tentspace.field import Region
+
+    g = SpatialGrid(n, N)
+    s = ScaleGrid(0.01, 0.25, 3)
+    one = np.array([1.0])
+    Region(g, s, np.array([0, g.size - 1]), np.array([0, s.K - 1]), np.ones(2))
+    for spatial, scale, bad in [(-1, 0, "spatial index -1"),
+                                (g.size, 0, f"spatial index {g.size}"),
+                                (0, -1, "scale index -1"),
+                                (0, s.K, f"scale index {s.K}")]:
+        with pytest.raises(ValueError, match=bad):
+            Region(g, s, np.array([spatial]), np.array([scale]), one)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_sampled_function_and_field_reject_non_finite(bad):
     from tentspace.field import HalfSpaceField, SampledFunction

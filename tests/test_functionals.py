@@ -396,6 +396,8 @@ def test_n_fun_lower_semicontinuity_under_refinement():
 def test_bmo_constant_and_translation():
     f = SampledFunction.constant(GRID, ell(2, 2), [1.0, 2.0])
     assert bmo_norm(f) == 0.0
+    # f is centred before its prefix sums, so inexact constants give 0 too
+    assert bmo_norm(SampledFunction.constant(GRID, ell(1, 2), [0.1, 2.7j])) == 0.0
     g = random_scalar_fn(12)
     assert bmo_norm(g.shifted(37)) == pytest.approx(bmo_norm(g), rel=1e-12)
 
@@ -418,11 +420,11 @@ def test_bmo_step_function_matches_exhaustive_oracle():
     assert got == pytest.approx(best, rel=1e-12)
 
 
-def _bmo_norm_by_rolls(f):
-    """The former kernel: one np.roll and one norm per window offset."""
+def _bmo_oscillations_by_rolls(f):
+    """Every ball's mean oscillation, (radius, *spatial), one np.roll per offset."""
     grid = f.grid
     vecs = np.moveaxis(f.values, -1, 0)
-    worst = 0.0
+    out = []
     for r in dyadic_radii(grid):
         count = window_count(grid, r)
         mu_pts = np.moveaxis(window_sum(grid, vecs, r) / count, 0, -1)
@@ -432,26 +434,92 @@ def _bmo_norm_by_rolls(f):
             shifted = np.roll(f.values, tuple(-int(o) for o in off),
                               axis=tuple(range(grid.n)))
             acc += norm(f.space, shifted - mu_pts)
-        worst = max(worst, float(acc.max()) / count)
-    return worst
+        out.append(acc / count)
+    return np.array(out)
+
+
+def _bmo_norm_by_rolls(f):
+    """The former kernel: every ball's oscillation, then the sup."""
+    return float(_bmo_oscillations_by_rolls(f).max())
+
+
+def _drifting_field(grid, space, seed):
+    """Complex Gaussian samples with a BMO-like cumulative drift."""
+    vals = complex_gaussian_array(RandomSource(seed).generator(),
+                                  grid.shape + (space.dim,))
+    vals[..., 1 % space.dim] += np.cumsum(vals[..., 0].real, axis=0)
+    return SampledFunction(grid, space, vals)
+
+
+def _rademacher_field(grid, space, seed):
+    """+-1 signs times (1, ..., 1).
+
+    On l^1 and l^2 a ball of m points whose signs split as evenly as m
+    allows comes within a factor sqrt(1 - 1/m^2) of its Jensen bound, and
+    all such balls tie at the sup.
+    """
+    signs = RandomSource(seed).generator().choice([-1.0, 1.0], size=grid.shape)
+    return SampledFunction(grid, space,
+                           np.repeat(signs[..., None], space.dim, axis=-1) + 0j)
+
+
+def _cube_root_field(grid, space):
+    """omega^(column mod 3) times (1, ..., 1), omega = exp(2 pi i / 3).
+
+    A ball whose rows hold multiples of 3 points has mean 0 and a constant
+    ||f - f_B||, so on l^1 and l^2 it attains its Jensen bound up to
+    roundoff.
+    """
+    col = np.indices(grid.shape)[-1]
+    vals = np.exp(2j * math.pi * (col % 3) / 3)
+    return SampledFunction(grid, space, np.repeat(vals[..., None], space.dim, axis=-1))
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (1, 128), (2, 16), (2, 32)])
 @pytest.mark.parametrize("q", [1, 2, 4, "inf"])
 def test_bmo_norm_matches_roll_loop(n, N, q):
-    grid = SpatialGrid(n, N)
-    space = ell(q, 3)
-    gen = RandomSource(40 + N).generator()
-    vals = complex_gaussian_array(gen, grid.shape + (3,))
-    vals[..., 1] += np.cumsum(vals[..., 0].real, axis=0)  # BMO-like drift
-    f = SampledFunction(grid, space, vals)
+    f = _drifting_field(SpatialGrid(n, N), ell(q, 3), 40 + N)
     assert bmo_norm(f) == pytest.approx(_bmo_norm_by_rolls(f), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("q", [1, 2, 4, "inf"])
+def test_bmo_bound_holds_at_every_ball(n, N, q):
+    grid = SpatialGrid(n, N)
+    for f in (_drifting_field(grid, ell(q, 3), 7 + N),
+              _rademacher_field(grid, ell(q, 3), 8 + N),
+              _cube_root_field(grid, ell(q, 3))):
+        bounds = functionals._bmo_bounds(f)[-1]
+        osc = _bmo_oscillations_by_rolls(f).reshape(bounds.shape)
+        assert np.all(bounds >= osc)
+
+
+@pytest.mark.parametrize("n, N", [(1, 128), (2, 32)])
+@pytest.mark.parametrize("q", [1, 2, 4, "inf"])
+def test_bmo_norm_exact_where_bound_is_tight(n, N, q):
+    # many balls tie at the sup, close to their bounds: pruning must keep
+    # the sup exact among them
+    f = _rademacher_field(SpatialGrid(n, N), ell(q, 3), 9 + N)
+    osc = _bmo_oscillations_by_rolls(f)
+    assert np.count_nonzero(osc >= osc.max() * (1 - 1e-12)) > 1
+    assert bmo_norm(f) == pytest.approx(float(osc.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["bmo_log", "bmo_step", "lacunary"])
+@pytest.mark.parametrize("space", [ell(2, 2), ell(1, 3)], ids=["l2_2", "l1_3"])
+def test_bmo_norm_matches_roll_loop_on_corpus(family, space):
+    from tentspace.harness import CorpusSpec, generate_corpus
+
+    grid = SpatialGrid(1, 512)
+    for f in generate_corpus(CorpusSpec(family, 2), grid, space, RandomSource(5)):
+        assert bmo_norm(f) == pytest.approx(_bmo_norm_by_rolls(f), rel=1e-12)
 
 
 def test_bmo_constant_and_translation_2d():
     grid = SpatialGrid(2, 32)
     f = SampledFunction.constant(grid, ell(2, 2), [1.0, 2.0])
     assert bmo_norm(f) == 0.0
+    assert bmo_norm(SampledFunction.constant(grid, ell(1, 2), [0.1, 2.7j])) == 0.0
     g = SampledFunction(grid, ell(1, 2),
                         complex_gaussian_array(RandomSource(13), grid.shape + (2,)))
     assert bmo_norm(g.shifted((5, 11))) == pytest.approx(bmo_norm(g), rel=1e-12)
