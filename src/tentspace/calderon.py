@@ -100,7 +100,7 @@ def _sqnorm(xi: np.ndarray, n: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if n == 1:
         return xi * xi
-    return (xi * xi).sum(axis=-1)
+    return xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
 
 
 def mexican_hat(n: int = 1) -> TestFunction:

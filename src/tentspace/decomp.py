@@ -275,7 +275,8 @@ def _clamp_cube_distance(grid: SpatialGrid, cube: DyadicCube,
     lo = anchor[None, :]
     hi = lo + s
     gaps = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-    return float(np.sqrt((gaps * gaps).sum(axis=1)).min())
+    sq = gaps * gaps
+    return float(np.sqrt(sq[:, 0] if grid.n == 1 else sq[:, 0] + sq[:, 1]).min())
 
 
 @dataclass

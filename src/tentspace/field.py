@@ -10,6 +10,7 @@ dy^n * dlog(t) * t_k^(-n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,43 +86,46 @@ class SpatialGrid:
         return np.stack([xx, yy], axis=-1)
 
     def offset_distance(self) -> np.ndarray:
-        """Torus distance of each index offset from zero; (N,) or (N, N)."""
-        o = np.arange(self.N)
-        d1 = np.minimum(o, self.N - o) * self.spacing
-        if self.n == 1:
-            return d1
-        return np.hypot(d1[:, None], d1[None, :])
+        """Torus distance of each index offset from zero; (N,) or (N, N).
+
+        Built once per grid and shared: the array is read-only.
+        """
+        return _offset_distance(self)
 
     def point_distance(self, x) -> np.ndarray:
         """Torus distance from every grid point to the point x.
 
-        When x lies on the grid the distances come from the index-offset
-        table, so boundary comparisons match the sliding-window fast paths
-        bit for bit.
+        When x lies within 1e-12 L of a grid point in every coordinate, the
+        distances come from the index-offset table, so boundary comparisons
+        match the sliding-window fast paths bit for bit.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.round(x_arr / self.spacing).astype(int)
-        on_grid = np.allclose(x_arr, idx * self.spacing, rtol=0.0, atol=1e-12 * self.L)
-        if on_grid:
-            table = self.offset_distance()
-            if self.n == 1:
-                return table[(np.arange(self.N) - idx[0]) % self.N]
-            oi = (np.arange(self.N)[:, None] - idx[0]) % self.N
-            oj = (np.arange(self.N)[None, :] - idx[1]) % self.N
-            return table[oi, oj]
+        if (np.abs(x_arr - idx * self.spacing) <= 1e-12 * self.L).all():
+            axes = tuple(range(self.n))
+            return np.roll(self.offset_distance(), tuple(idx[: self.n]), axis=axes)
         return torus_dist(self, self.coords(), x)
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_distance(grid: SpatialGrid) -> np.ndarray:
+    o = np.arange(grid.N)
+    dist = np.minimum(o, grid.N - o) * grid.spacing
+    if grid.n == 2:
+        dist = np.hypot(dist[:, None], dist[None, :])
+    dist.flags.writeable = False
+    return dist
 
 
 def torus_dist(grid: SpatialGrid, x, y) -> np.ndarray:
     """Min-image Euclidean distance on the torus; broadcasts over arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if grid.n == 1:
-        d = np.abs(x - y) % grid.L
-        return np.minimum(d, grid.L - d)
     diff = np.abs(x - y) % grid.L
     diff = np.minimum(diff, grid.L - diff)
-    return np.sqrt((diff * diff).sum(axis=-1))
+    if grid.n == 1:
+        return diff
+    return np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,7 @@ class Region:
     Atoms are stored flat in canonical (scale, spatial) order so that
     Monte Carlo estimates over the atoms are independent of construction
     order.  Atoms that arrive in that order (every mask-built region, since
-    np.nonzero is row-major) are kept as they are, without a sort.
+    np.flatnonzero is row-major) are kept as they are, without a sort.
     """
 
     grid: SpatialGrid
@@ -303,7 +307,7 @@ def _check_index(name: str, lo, hi, stop: int) -> None:
 
 
 def _region_from_mask(grid, scales, mask, weights_per_scale) -> Region:
-    k_idx, flat_idx = np.nonzero(mask.reshape(scales.K, grid.size))
+    k_idx, flat_idx = np.divmod(np.flatnonzero(mask), grid.size)
     w = weights_per_scale[k_idx]
     if k_idx.size == 0:
         return Region(grid, scales, np.empty(0, dtype=np.int64),

@@ -56,7 +56,13 @@ from .field import (
     dyadic_radii,
 )
 from .gaussnorm import _closed_form_moment, _estimate_from_moments
-from .space import RandomSource, _norm_from_squares, complex_gaussian_array, norm
+from .space import (
+    RandomSource,
+    _norm_from_squares,
+    _squared_norm2,
+    complex_gaussian_array,
+    norm,
+)
 
 __all__ = [
     "FunctionalProfile",
@@ -237,7 +243,7 @@ def a_fun_cuts(
     # held until the profiles are built: with it alive the trace path
     # allocates as the l^2 sweep always has, and repeated sweeps do not
     # trim and re-fault the heap (about 3x the minor faults per op otherwise)
-    sq = (np.abs(field.values) ** 2).sum(axis=-1)
+    sq = _squared_norm2(field.values)
     moment = None if force_mc else _closed_form_moment(
         field.space,
         lambda: _cone_sums(field, alpha, sq, cuts),

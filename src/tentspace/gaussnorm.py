@@ -41,7 +41,15 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .field import HalfSpaceField, Region
-from .space import RandomSource, complex_gaussian_array, dual, norm, pair
+from .space import (
+    RandomSource,
+    _fold,
+    _squared_norm2,
+    complex_gaussian_array,
+    dual,
+    norm,
+    pair,
+)
 
 __all__ = [
     "GaussEstimate",
@@ -97,7 +105,7 @@ def _closed_form_moment(space, trace, covariance):
     live = prod > 0.0
     rho2 = np.clip(np.abs(upper[..., off]) ** 2 / np.where(live, prod, 1.0), 0.0, 1.0)
     cross = np.where(live, np.sqrt(prod) * hyp2f1(-0.5, -0.5, 1.0, rho2), 0.0)
-    return var.sum(axis=-1) + (math.pi / 2.0) * cross.sum(axis=-1)
+    return _fold(var) + (math.pi / 2.0) * _fold(cross)
 
 
 def _covariance_factor(m: np.ndarray) -> np.ndarray:
@@ -162,8 +170,7 @@ def gauss_norm(
         return GaussEstimate(0.0, 0.0, 0, True)
     if not force_mc:
         def trace():
-            vals = region.restrict(field)
-            return (region.weights * (np.abs(vals) ** 2).sum(axis=1)).sum()
+            return (region.weights * _squared_norm2(region.restrict(field))).sum()
 
         def covariance():
             vals, wsqrt = _atom_values(field, region)
@@ -203,8 +210,7 @@ def paired_multiplier_defect(
     flat = multiplier.reshape(field.scales.K, field.grid.size)
     g_atoms = flat[region.scale_idx, region.spatial_idx]
     if field.space.is_hilbert and not force_mc:
-        vals, _ = _atom_values(field, region)
-        sq = (np.abs(vals) ** 2).sum(axis=1)
+        sq = _squared_norm2(region.restrict(field))
         base = float((region.weights * sq).sum())
         scaled = float((region.weights * np.abs(g_atoms) ** 2 * sq).sum())
         return math.sqrt(scaled) - math.sqrt(base), 0.0

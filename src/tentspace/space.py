@@ -5,6 +5,14 @@ fixed small dimension.  This module provides the norm/duality algebra for
 those targets, reproducible random sources, complex Gaussian draws
 (normalized so E|g|^2 = 1), Gauss-bounds of scalar multiplier families and
 empirical type-q constants.
+
+Norms reduce the short target axis one component at a time: each component
+is combined into one output array by an in-place np.add or np.maximum,
+because numpy's reductions over a 2- to 8-long innermost axis cost several
+times the arithmetic.  Up to seven components added left to right give
+exactly the bits of numpy's .sum(axis=-1); from eight on numpy sums eight
+accumulators in parallel, so finite-q norms can differ from it in the last
+bits.  A max is order-free at every dimension.
 """
 
 from __future__ import annotations
@@ -76,44 +84,87 @@ def dual(space: BanachSpace) -> BanachSpace:
 
 
 def norm(space: BanachSpace, values: np.ndarray) -> np.ndarray:
-    """l^q norm over the last axis; vectorized over any leading axes."""
+    """l^q norm over the last axis; vectorized over any leading axes.
+
+    The moduli are reduced one component at a time (see the module
+    docstring), bit-exact to numpy's .sum(axis=-1) and .max(axis=-1) forms
+    for dim <= 7.  A single vector of shape (dim,) gives a scalar; a 0-d
+    input has no component axis and raises.
+    """
     values = np.asarray(values)
+    if values.ndim == 0:
+        raise ValueError("values need a last axis holding the components")
     if values.shape[-1] != space.dim:
         raise ValueError(
             f"dimension mismatch: space has dim {space.dim}, "
             f"values have last axis {values.shape[-1]}"
         )
-    a = np.abs(values)
-    if space.q is None:
-        return a.max(axis=-1)
-    if space.q == 1.0:
-        return a.sum(axis=-1)
-    if space.q == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    return (a ** space.q).sum(axis=-1) ** (1.0 / space.q)
+    return _reduce_components(space, np.abs(values, dtype=float), squared=False)[()]
 
 
 def _norm_from_squares(space: BanachSpace, sq: np.ndarray, axis: int = 0) -> np.ndarray:
     """l^q norm from squared component moduli |v_i|^2 stacked along ``axis``.
 
     Kernels that hold real and imaginary parts apart reduce here without
-    forming a complex array; :func:`norm` keeps its own evaluation.  The
-    reduction runs in place, component by component: sq is overwritten and
-    the result is a view of it, so a kernel's buffer needs no temporaries.
+    forming a complex array.  sq is overwritten and the result is a view of
+    it, so a kernel's buffer needs no temporaries.
     """
-    parts = np.moveaxis(sq, axis, 0)
-    out = parts[0]
-    if space.q == 1.0:
-        np.sqrt(parts, out=parts)
-    elif space.q not in (None, 2.0):
-        np.power(parts, space.q / 2.0, out=parts)
-    combine = np.maximum if space.q is None else np.add
-    for part in parts[1:]:
-        combine(out, part, out=out)
-    if space.q is None or space.q == 2.0:
+    return _reduce_components(space, np.moveaxis(sq, axis, -1), squared=True)
+
+
+def _reduce_components(space: BanachSpace, parts: np.ndarray, squared: bool) -> np.ndarray:
+    """l^q norm over the last axis of parts, which holds component moduli.
+
+    parts[..., i] holds |v_i|, or |v_i|^2 with ``squared``.  Each component
+    is raised to the power the sum needs, then folded into parts[..., 0];
+    the result is that view of parts.
+    """
+    q = space.q
+    if q is not None and q != (2.0 if squared else 1.0):
+        if q == 1.0:
+            np.sqrt(parts, out=parts)
+        elif q == 2.0:
+            np.multiply(parts, parts, out=parts)
+        else:
+            np.power(parts, q / 2.0 if squared else q, out=parts)
+    out = _fold(parts, np.maximum if q is None else np.add)
+    if q == 2.0 or (q is None and squared):
         np.sqrt(out, out=out)
-    elif space.q != 1.0:
-        np.power(out, 1.0 / space.q, out=out)
+    elif q not in (None, 1.0):
+        if out.ndim:
+            np.power(out, 1.0 / q, out=out)
+        else:  # one vector: numpy's scalar pow can round unlike its array loop
+            out = out[()] ** (1.0 / q)
+    return out
+
+
+def _fold(x: np.ndarray, combine=np.add) -> np.ndarray:
+    """Combine the components x[..., 1], x[..., 2], ... into x[..., 0] in place.
+
+    Left to right, one ufunc call per component; the result is the view
+    x[..., 0].  With np.add it has the bits of x.sum(axis=-1) for up to
+    seven components.
+    """
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        combine(out, x[..., k], out=out)
+    return out
+
+
+def _squared_norm2(values: np.ndarray) -> np.ndarray:
+    """sum_i |v_i|^2 over the last axis, one component at a time.
+
+    The squared moduli of each component go through one scratch array into
+    a fresh result, bit-exact to (np.abs(values) ** 2).sum(axis=-1) for
+    up to seven components.
+    """
+    out = np.abs(values[..., 0])
+    np.multiply(out, out, out=out)
+    scratch = np.empty_like(out)
+    for k in range(1, values.shape[-1]):
+        np.abs(values[..., k], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
     return out
 
 
@@ -179,11 +230,21 @@ def draw_gaussians(rng, count: int) -> np.ndarray:
 
 
 def complex_gaussian_array(rng, shape) -> np.ndarray:
-    """Array-shaped variant of :func:`draw_gaussians`."""
+    """Array-shaped variant of :func:`draw_gaussians`.
+
+    The real parts take the first standard_normal draw of ``shape`` and the
+    imaginary parts the second.  Each draw is scaled straight into the
+    complex result through its float views, one real scratch array and no
+    complex temporaries, with the same bits as (re + 1j*im) / sqrt(2): that
+    complex division multiplies both parts by 1 / sqrt(2).
+    """
     gen = _as_generator(rng)
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    draw = gen.standard_normal(shape)
+    out = np.empty(draw.shape, dtype=complex)
+    scale = 1.0 / math.sqrt(2.0)
+    np.multiply(draw, scale, out=out.real)
+    np.multiply(gen.standard_normal(out=draw), scale, out=out.imag)
+    return out[()]
 
 
 def gauss_bound_scalars(values) -> float:

@@ -224,3 +224,58 @@ def test_sampled_function_and_field_reject_non_finite(bad):
     fvals[2, 5, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         HalfSpaceField(g, s, ell(1, 2), fvals)
+
+
+def _nonzero_atoms(grid, scales, mask, w_per_scale):
+    k_idx, flat_idx = np.nonzero(mask.reshape(scales.K, grid.size))
+    return flat_idx, k_idx, w_per_scale[k_idx]
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_regions_match_the_nonzero_build_with_wrapping_centres(n, N):
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(0.5 * grid.spacing, 0.25, 8)
+    t, dy, L = scales.nodes(), grid.spacing, grid.L
+    table = grid.offset_distance()
+    centres = [0.0, L - dy, -dy, L + 2 * dy, 5 * dy]
+    if n == 2:
+        centres = [(0.0, L - dy), (-dy, L + 2 * dy), (L - dy, 3 * dy)]
+    for x in centres:
+        idx = np.round(np.atleast_1d(x) / dy).astype(int)
+        if n == 1:
+            want = table[(np.arange(N) - idx[0]) % N]
+        else:
+            want = table[(np.arange(N)[:, None] - idx[0]) % N,
+                         (np.arange(N)[None, :] - idx[1]) % N]
+        dist = grid.point_distance(x)
+        assert np.array_equal(dist, want)
+        flat = dist.reshape(-1)
+        cone = cone_region(grid, scales, x, 1.0, 0.2)
+        cone_mask = (flat[None, :] < t[:, None]) & (t < 0.2)[:, None]
+        box = box_region(grid, scales, ball_at(grid, x, 0.1))
+        box_mask = (flat[None, :] < 0.1) & (t < 0.1)[:, None]
+        for region, mask, w in (
+            (cone, cone_mask, grid.cell_volume * scales.dlog * t ** (-n)),
+            (box, box_mask, np.full(scales.K, grid.cell_volume * scales.dlog)),
+        ):
+            assert region.size > 0
+            for got, ref in zip((region.spatial_idx, region.scale_idx, region.weights),
+                                _nonzero_atoms(grid, scales, mask, w)):
+                assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_distance_on_grid_tolerance_is_1e12_L(n):
+    grid = SpatialGrid(n, 16, 2.0)
+    table = grid.offset_distance()
+    assert table is grid.offset_distance() and not table.flags.writeable
+    tol = 1e-12 * grid.L
+    for off, on_grid in ((tol, True), (-tol, True), (np.nextafter(tol, 1.0), False)):
+        x = off if n == 1 else (off, 0.0)
+        dist = grid.point_distance(x)
+        assert np.array_equal(dist, table) is on_grid
+        if not on_grid:
+            diff = np.abs(grid.coords() - np.asarray(x)) % grid.L
+            diff = np.minimum(diff, grid.L - diff)
+            want = diff if n == 1 else np.sqrt((diff * diff).sum(axis=-1))
+            assert np.array_equal(dist, want)

@@ -7,6 +7,7 @@ import pytest
 from tentspace.calderon import resolve
 from tentspace.field import ScaleGrid, SpatialGrid
 from tentspace.harness import (
+    _spearman,
     Assertion,
     CorpusSpec,
     ExperimentConfig,
@@ -293,3 +294,13 @@ def test_charbmo_shares_one_sweep_across_q():
         for q in cfg.q_list:
             ref = c_fun(F, q, cfg.alpha, trials=cfg.trials, rng=cfg.rng()).max()
             assert case[f"cq_inf_q={q:g}"] == ref
+
+
+def test_spearman_averages_tied_ranks():
+    from scipy.stats import spearmanr
+
+    a = np.array([0.5, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 1.0, 4.0])
+    b = np.array([1.0, 3.0, 2.0, 2.0, 7.0, 6.0, 9.0, 0.0, 6.0])
+    assert _spearman(a, b) == pytest.approx(spearmanr(a, b).statistic, rel=1e-12)
+    assert _spearman(a, -a) == pytest.approx(-1.0, rel=1e-12)
+    assert _spearman(a, np.ones_like(a)) == 0.0

@@ -49,6 +49,41 @@ def test_norm_dimension_mismatch():
         norm(ell(2, 3), np.zeros(4))
 
 
+def _norm_by_numpy_reductions(q, v):
+    a = np.abs(v)
+    if q == "inf":
+        return a.max(axis=-1)
+    if q == 1:
+        return a.sum(axis=-1)
+    if q == 2:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a ** float(q)).sum(axis=-1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 4, "inf"])
+@pytest.mark.parametrize("lead", [(), (300,), (4, 5)])
+def test_norm_is_bit_exact_to_numpy_reductions(q, lead):
+    for d in range(1, 10):
+        v = complex_gaussian_array(RandomSource(d, len(lead)), lead + (d,))
+        got, want = norm(ell(q, d), v), _norm_by_numpy_reductions(q, v)
+        assert type(got) is type(want) and np.shape(got) == lead
+        if d <= 7 or q == "inf":
+            assert np.array_equal(got, want), (q, d)
+        else:  # from eight terms on numpy sums eight accumulators at once
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 4, "inf"])
+def test_norm_propagates_nan_and_rejects_0d(q):
+    v = np.ones((4, 3), dtype=complex)
+    v[1, 0] = np.nan
+    v[2, 2] = complex(1.0, np.nan)
+    got = norm(ell(q, 3), v)
+    assert np.isnan(got[1:3]).all() and np.isfinite(got[[0, 3]]).all()
+    with pytest.raises(ValueError, match="last axis"):
+        norm(ell(q, 1), np.array(1.0 + 0j))
+
+
 def test_dual_exponents():
     assert dual(ell(2, 3)) == ell(2, 3)
     assert dual(ell(1, 2)) == ell("inf", 2)
@@ -188,6 +223,23 @@ def test_norm_from_squares_matches_norm(q):
     sq = np.moveaxis(v.real ** 2 + v.imag ** 2, -1, 0)
     got = _norm_from_squares(space, sq, axis=0)
     np.testing.assert_allclose(got, norm(space, v), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [0, 5, (), (0, 3), (7, 2), (3, 4, 2)])
+def test_complex_gaussian_array_matches_quotient_form(shape):
+    def quotient_form(gen):
+        re = gen.standard_normal(shape)
+        im = gen.standard_normal(shape)
+        return (re + 1j * im) / math.sqrt(2.0)
+
+    got = complex_gaussian_array(RandomSource(5, 2), shape)
+    want = quotient_form(RandomSource(5, 2).generator())
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
+    got, want = complex_gaussian_array(gen, shape), quotient_form(ref)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert gen.standard_normal() == ref.standard_normal()  # same draws consumed
 
 
 def test_draw_gaussians_second_moment():
