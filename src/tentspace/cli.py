@@ -4,9 +4,11 @@
                         [--refine] [--threads K]
 
 Commands: resolve, afun, cfun, nfun, bmo, whitney, paraproduct,
-suite <name>.  Configuration is a JSON file; command-line flags override
-the seed, output directory, refine mode and thread count, and the
-environment variable TENTSPACE_THREADS overrides --threads.
+suite <name>.  Configuration is a JSON file read into the one
+``harness.ExperimentConfig`` that every command and suite shares; unknown
+keys are rejected.  Command-line flags override the seed, output
+directory, refine mode and thread count, and the environment variable
+TENTSPACE_THREADS overrides --threads.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 configuration
 error.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .calderon import complementary, make_test_function, resolve
 from .decomp import whitney, whitney_check
-from .field import SampledFunction, ScaleGrid, SpatialGrid
+from .field import SampledFunction
 from .functionals import a_fun, bmo_norm, c_fun, n_fun
 from .harness import (
     CorpusSpec,
@@ -37,55 +39,36 @@ from .harness import (
 )
 from .io import read_json, read_tsf1, write_tsf1
 from .paraproduct import lp_norm, pair_paraproduct, paraproduct
-from .space import RandomSource, ell
+from .space import RandomSource, dual, ell
 
 
 class ConfigError(Exception):
     pass
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _load_config(args) -> ExperimentConfig:
+    """The JSON config with the command-line flags laid over it."""
+    raw = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except FileNotFoundError as e:
+            raise ConfigError(f"config file not found: {args.config}") from e
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    flags = {"seed": args.seed, "threads": args.threads,
+             "refine": args.refine or None, "suite": getattr(args, "name", None)}
+    raw.update({k: v for k, v in flags.items() if v is not None})
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        return ExperimentConfig.from_dict(raw)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
 
 
-def _grid(cfg: dict) -> SpatialGrid:
-    return SpatialGrid(cfg.get("n", 1), cfg.get("N", 512), cfg.get("L", 1.0))
-
-
-def _scales(cfg: dict, grid: SpatialGrid) -> ScaleGrid:
-    t_min = cfg.get("t_min", 2.0 * grid.spacing)
-    t_max = cfg.get("t_max", grid.L / 4.0)
-    return ScaleGrid(t_min, t_max, cfg.get("K", 32))
-
-
-def _space(cfg: dict):
-    s = cfg.get("space", {"q": 2.0, "dim": 1})
-    return ell(s.get("q", 2.0), s.get("dim", 1))
-
-
-def _psi(cfg: dict, grid: SpatialGrid):
-    spec = cfg.get("psi", {"name": "mexican_hat"})
-    if "file" in spec:
-        from .calderon import custom_from_samples
-
-        obj = read_tsf1(spec["file"])
-        if not isinstance(obj, SampledFunction):
-            raise ConfigError("psi file must hold spatial samples, not a field")
-        return custom_from_samples(obj, spec.get("name", "custom"))
-    return make_test_function(spec.get("name", "mexican_hat"), grid.n,
-                              **spec.get("params", {}))
-
-
-def _function_source(cfg: dict, key: str, grid, space, seed: int) -> SampledFunction:
-    src = cfg.get(key)
+def _function_source(src, key: str, grid, space, seed: int) -> SampledFunction:
     if src is None:
         raise ConfigError(f"missing input {key!r} in config")
     if "file" in src:
@@ -105,18 +88,19 @@ def _function_source(cfg: dict, key: str, grid, space, seed: int) -> SampledFunc
     return obj
 
 
-def _field_source(cfg: dict, grid, scales, space, psi, seed: int):
-    src = cfg.get("field", {})
+def _field_source(src, cfg: ExperimentConfig, psi):
+    src = src or {}
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     if "file" in src:
         obj = read_tsf1(src["file"])
         if isinstance(obj, SampledFunction):
             raise ConfigError("field file holds a sampled function")
         return obj
     if "resolve" in src:
-        f = _function_source({"fn": src["resolve"]}, "fn", grid, space, seed)
+        f = _function_source(src["resolve"], "field.resolve", grid, space, cfg.seed)
         return resolve(f, psi, scales)
     if "random" in src:
-        fields = generate_field_corpus(grid, scales, space, 1, RandomSource(seed),
+        fields = generate_field_corpus(grid, scales, space, 1, RandomSource(cfg.seed),
                                        band=src["random"].get("band"))
         return fields[0]
     raise ConfigError("field: provide 'file', 'resolve' or 'random'")
@@ -134,11 +118,8 @@ def _write_summary(out: Path, name: str, payload: dict) -> None:
 
 
 def cmd_resolve(args, cfg) -> int:
-    grid = _grid(cfg)
-    scales = _scales(cfg, grid)
-    space = _space(cfg)
-    psi = _psi(cfg, grid)
-    f = _function_source(cfg, "input", grid, space, args.seed)
+    grid, scales, psi = cfg.grid(), cfg.scales(), cfg.psi_fn()
+    f = _function_source(cfg.input, "input", grid, cfg.target(), cfg.seed)
     F = resolve(f, psi, scales)
     out = _out_dir(args)
     write_tsf1(F, out / "field.tsf1")
@@ -151,20 +132,14 @@ def cmd_resolve(args, cfg) -> int:
 
 
 def _profile_command(args, cfg, kind: str) -> int:
-    grid = _grid(cfg)
-    scales = _scales(cfg, grid)
-    space = _space(cfg)
-    psi = _psi(cfg, grid)
-    F = _field_source(cfg, grid, scales, space, psi, args.seed)
-    trials = cfg.get("trials", 512)
-    rng = RandomSource(args.seed)
+    F = _field_source(cfg.field, cfg, cfg.psi_fn())
+    rng = RandomSource(cfg.seed)
     if kind == "afun":
-        prof = a_fun(F, cfg.get("alpha", 1.0), cfg.get("h"), trials=trials, rng=rng)
+        prof = a_fun(F, cfg.alpha, cfg.h, trials=cfg.trials, rng=rng)
     elif kind == "cfun":
-        prof = c_fun(F, cfg.get("q", 1.0), cfg.get("alpha", 1.0),
-                     trials=trials, rng=rng)
+        prof = c_fun(F, cfg.q, cfg.alpha, trials=cfg.trials, rng=rng)
     else:
-        prof = n_fun(F, cfg.get("alpha", 1.0))
+        prof = n_fun(F, cfg.alpha)
     out = _out_dir(args)
     prof.to_csv(out / f"{kind}.csv")
     write_tsf1(prof.to_sampled(), out / f"{kind}.tsf1")
@@ -176,9 +151,7 @@ def _profile_command(args, cfg, kind: str) -> int:
 
 
 def cmd_bmo(args, cfg) -> int:
-    grid = _grid(cfg)
-    space = _space(cfg)
-    f = _function_source(cfg, "input", grid, space, args.seed)
+    f = _function_source(cfg.input, "input", cfg.grid(), cfg.target(), cfg.seed)
     value = bmo_norm(f)
     out = _out_dir(args)
     _write_summary(out, "bmo.json", {"bmo_norm": value})
@@ -187,8 +160,7 @@ def cmd_bmo(args, cfg) -> int:
 
 
 def cmd_whitney(args, cfg) -> int:
-    grid = _grid(cfg)
-    src = cfg.get("set")
+    src = cfg.set
     if src is None:
         raise ConfigError("whitney needs a 'set' entry")
     if "cells_file" in src:
@@ -196,17 +168,13 @@ def cmd_whitney(args, cfg) -> int:
             cells = np.asarray(json.load(fh), dtype=bool)
     elif "threshold" in src:
         spec = src["threshold"]
-        scales = _scales(cfg, grid)
-        space = _space(cfg)
-        psi = _psi(cfg, grid)
-        F = _field_source({"field": spec.get("field", {})}, grid, scales,
-                          space, psi, args.seed)
-        prof = a_fun(F, spec.get("alpha", 1.0), rng=RandomSource(args.seed))
+        F = _field_source(spec.get("field"), cfg, cfg.psi_fn())
+        prof = a_fun(F, spec.get("alpha", 1.0), rng=RandomSource(cfg.seed))
         level = spec.get("level", 0.5) * prof.max()
         cells = prof.values > level
     else:
         raise ConfigError("set: provide 'cells_file' or 'threshold'")
-    dec = whitney(grid, cells)
+    dec = whitney(cfg.grid(), cells)
     rep = whitney_check(dec)
     out = _out_dir(args)
     _write_summary(out, "whitney.json", {
@@ -221,18 +189,13 @@ def cmd_whitney(args, cfg) -> int:
 
 
 def cmd_paraproduct(args, cfg) -> int:
-    grid = _grid(cfg)
-    scales = _scales(cfg, grid)
-    space = _space(cfg)
-    psi = _psi(cfg, grid)
-    phi_spec = cfg.get("phi", {"name": "complementary"})
-    if phi_spec.get("name", "complementary") == "complementary":
+    grid, scales, space, psi = cfg.grid(), cfg.scales(), cfg.target(), cfg.psi_fn()
+    if cfg.phi.get("name", "complementary") == "complementary":
         phi = complementary(psi)
     else:
-        phi = make_test_function(phi_spec["name"], grid.n,
-                                 **phi_spec.get("params", {}))
-    f = _function_source(cfg, "f", grid, space, args.seed)
-    u = _function_source(cfg, "u", grid, ell(2, 1), args.seed + 1)
+        phi = make_test_function(cfg.phi["name"], grid.n, **cfg.phi.get("params", {}))
+    f = _function_source(cfg.f, "f", grid, space, cfg.seed)
+    u = _function_source(cfg.u, "u", grid, ell(2, 1), cfg.seed + 1)
     res = paraproduct(f, u, psi, phi, scales)
     out = _out_dir(args)
     write_tsf1(res.field, out / "paraproduct.tsf1")
@@ -241,13 +204,11 @@ def cmd_paraproduct(args, cfg) -> int:
         "tail_fine": res.tail_fine,
         "tail_coarse": res.tail_coarse,
         "scale_norms": [float(v) for v in res.scale_norms],
-        "lp": {str(p): lp_norm(res.field, p) for p in cfg.get("p_list", [2.0])},
+        "lp": {str(p): lp_norm(res.field, p) for p in cfg.p_list},
         "bmo_f": bmo_norm(f),
     }
-    if "g" in cfg:
-        from .space import dual
-
-        g = _function_source(cfg, "g", grid, dual(space), args.seed + 2)
+    if cfg.g is not None:
+        g = _function_source(cfg.g, "g", grid, dual(space), cfg.seed + 2)
         val = pair_paraproduct(f, u, g, psi, phi, scales)
         summary["pairing"] = [val.real, val.imag]
     _write_summary(out, "paraproduct.json", summary)
@@ -255,18 +216,7 @@ def cmd_paraproduct(args, cfg) -> int:
 
 
 def cmd_suite(args, cfg) -> int:
-    merged = dict(cfg)
-    merged["suite"] = args.name
-    merged["seed"] = args.seed
-    if args.refine:
-        merged["refine"] = True
-    if args.threads is not None:
-        merged["threads"] = args.threads
-    try:
-        run_cfg = ExperimentConfig.from_dict(merged)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    report = run_suite(run_cfg)
+    report = run_suite(cfg)
     out = _out_dir(args)
     report.write(out / "report.json")
     _write_cases_csv(report, out)
@@ -332,22 +282,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        cfg = _load_config(args.config)
-        if args.seed is None:
-            args.seed = int(cfg.get("seed", 0))
-        if args.command == "resolve":
-            return cmd_resolve(args, cfg)
+        cfg = _load_config(args)
         if args.command in ("afun", "cfun", "nfun"):
             return _profile_command(args, cfg, args.command)
-        if args.command == "bmo":
-            return cmd_bmo(args, cfg)
-        if args.command == "whitney":
-            return cmd_whitney(args, cfg)
-        if args.command == "paraproduct":
-            return cmd_paraproduct(args, cfg)
-        if args.command == "suite":
-            return cmd_suite(args, cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        return {"resolve": cmd_resolve, "bmo": cmd_bmo, "whitney": cmd_whitney,
+                "paraproduct": cmd_paraproduct, "suite": cmd_suite}[args.command](args, cfg)
     except (ConfigError, ValueError, KeyError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from time import perf_counter
 
 import numpy as np
 
 from .calderon import (
     TestFunction,
     complementary,
+    custom_from_samples,
     gauss_bump,
     make_test_function,
     nondegeneracy_margin,
@@ -39,6 +40,7 @@ from .field import (
     dyadic_radii,
 )
 from .functionals import a_fun, a_fun_cuts, bmo_norm, c_fun, maximal_fn, n_fun
+from .io import read_tsf1
 from .paraproduct import TAIL_TOL, lp_norm, paraproduct
 from .space import BanachSpace, RandomSource, complex_gaussian_array, ell, norm, pair
 
@@ -245,6 +247,12 @@ def generate_column_corpus(
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings, read by every CLI command and every suite.
+
+    Field names are the JSON keys; README.md's key table says which
+    commands and suites read each one.
+    """
+
     suite: str = ""
     n: int = 1
     N: int = 512
@@ -252,9 +260,8 @@ class ExperimentConfig:
     L: float = 1.0
     t_min: float | None = None  # default 2 dy
     t_max: float | None = None  # default L/4
-    space_q: float | str | None = 2.0
-    space_dim: int = 2
-    psi: str = "mexican_hat"
+    space: dict = dc_field(default_factory=dict)  # {"q", "dim"}; l^2_2 by default
+    psi: dict = dc_field(default_factory=dict)  # {"name" | "file", "params"}
     q_list: list = dc_field(default_factory=lambda: [1.0])
     p_list: list = dc_field(default_factory=lambda: [2.0])
     alpha_list: list = dc_field(default_factory=lambda: [1.0])
@@ -273,13 +280,34 @@ class ExperimentConfig:
     refine_axis: str = "N"
     stability_factor: float = 2.0
     threads: int = 1
-    out_dir: str | None = None
     tolerances: dict = dc_field(default_factory=dict)
+    # command inputs: q and h for cfun and afun, the rest source specs
+    q: float = 1.0
+    h: float | None = None
+    input: dict | None = None
+    field: dict | None = None
+    set: dict | None = None
+    f: dict | None = None
+    u: dict | None = None
+    g: dict | None = None
+    phi: dict = dc_field(default_factory=lambda: {"name": "complementary"})
+
+    def __post_init__(self):
+        _check_object("space", self.space, {"q", "dim"})
+        _check_object("psi", self.psi, {"name", "file", "params"})
+        _check_object("psi params", self.psi.get("params", {}), None)
+        for key in ("input", "field", "set", "f", "u", "g", "phi"):
+            if getattr(self, key) is not None:
+                _check_object(key, getattr(self, key), None)
+        self.space = {"q": 2.0, "dim": 2, **self.space}
+        if "file" not in self.psi:
+            self.psi = {"name": "mexican_hat", **self.psi}
+        if self.refine_axis not in ("N", "K"):
+            raise ValueError(f"refine_axis must be 'N' or 'K', got {self.refine_axis!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
@@ -296,11 +324,22 @@ class ExperimentConfig:
         t_max = self.t_max if self.t_max is not None else self.L / 4.0
         return ScaleGrid(t_min, t_max, self.K)
 
-    def space(self) -> BanachSpace:
-        return ell(self.space_q, self.space_dim)
+    def target(self) -> BanachSpace:
+        """The l^q_d target space."""
+        return ell(self.space["q"], self.space["dim"])
 
     def psi_fn(self) -> TestFunction:
-        return make_test_function(self.psi, self.n)
+        """A named family with its ``params``, or spatial samples from a TSF1 file."""
+        spec = self.psi
+        if "file" in spec:
+            samples = read_tsf1(spec["file"])
+            if not isinstance(samples, SampledFunction):
+                raise ValueError("psi file must hold spatial samples, not a field")
+            return custom_from_samples(samples, spec.get("name", "custom"))
+        try:
+            return make_test_function(spec["name"], self.n, **spec.get("params", {}))
+        except TypeError as e:
+            raise ValueError(f"psi params: {e}") from e
 
     def rng(self) -> RandomSource:
         return RandomSource(self.seed)
@@ -310,6 +349,12 @@ class ExperimentConfig:
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
+
+
+def _check_object(name: str, value, keys) -> None:
+    if not isinstance(value, dict) or (keys is not None and not set(value) <= keys):
+        allowed = f" with keys from {sorted(keys)}" if keys else ""
+        raise ValueError(f"{name} must be a JSON object{allowed}, got {value!r}")
 
 
 @dataclass
@@ -357,13 +402,6 @@ def _parallel(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["t_min_effective"] = cfg.scales().t_min
-    d["t_max_effective"] = cfg.scales().t_max
-    return d
-
-
 def _spearman(a, b) -> float:
     """Spearman rank correlation; tied values share their average rank."""
     from scipy.stats import rankdata  # importing scipy.stats costs about 0.6 s
@@ -398,15 +436,14 @@ def _default_bmo_corpus(count_each: int = 5) -> list[dict]:
     ]
 
 
-def suite_charBMO(cfg: ExperimentConfig) -> Report:
+def suite_charBMO(cfg: ExperimentConfig) -> dict:
     """Ratio band of ||C_q(F)||_inf against the mean-oscillation norm.
 
     Checks exact translation invariance of the ratio, bounded drift under
     dyadic dilation, a bounded corpus band (regression baseline) and the
     monotone association between the two sides across the corpus.
     """
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     psi = cfg.psi_fn()
     margin = nondegeneracy_margin(psi, 2 if cfg.n == 1 else 16,
                                   ScaleGrid(1e-2, 1e2, 128))
@@ -506,19 +543,17 @@ def suite_charBMO(cfg: ExperimentConfig) -> Report:
             Assertion("bmo_cq_rank_correlation", bool(corr >= need),
                       f"spearman {corr:.3f} >= {need}")
         )
-    return Report("charBMO", _config_echo(cfg), cases, bands, assertions,
-                  time.time() - t0)
+    return dict(cases=cases, bands=bands, assertions=assertions)
 
 
-def suite_AC(cfg: ExperimentConfig) -> Report:
+def suite_AC(cfg: ExperimentConfig) -> dict:
     """Norm comparison of the conical functional and Carleson functionals.
 
     The direction ||C_q||_p <= C ||A||_p rides on the pointwise maximal
     domination (logged constant); the reverse direction and the aperture
     comparison are reported as bands.
     """
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     fields = generate_field_corpus(grid, scales, space, cfg.cases, cfg.rng(),
                                    band=cfg.band)
     assertions, cases, bands = [], [], {}
@@ -606,17 +641,16 @@ def suite_AC(cfg: ExperimentConfig) -> Report:
             key = "_".join(str(x) for x in k)
             entry[key] = v.max() if k[0] == "A" else list(v)
         cases.append(entry)
-    return Report("AC", _config_echo(cfg), cases, bands, assertions, time.time() - t0)
+    return dict(cases=cases, bands=bands, assertions=assertions)
 
 
-def suite_duality(cfg: ExperimentConfig) -> Report:
+def suite_duality(cfg: ExperimentConfig) -> dict:
     """Tent-space duality with the stopping-time proof constant.
 
     Asserts, per corpus pair, that the dy dt/t integral of |<F, G>| stays
     below rho (1 - rho^-q)^-1 times sum_x C_q(F) A(G) dx, plus slack.
     """
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     from .space import dual as dual_space
 
     fields = generate_field_corpus(grid, scales, space, cfg.cases, cfg.rng(),
@@ -650,18 +684,16 @@ def suite_duality(cfg: ExperimentConfig) -> Report:
             f"LHS <= {constant:.3g}*(1+{slack:g})*RHS on every case",
         )
     ]
-    return Report("duality", _config_echo(cfg), rows, bands, assertions,
-                  time.time() - t0)
+    return dict(cases=rows, bands=bands, assertions=assertions)
 
 
-def suite_carleson_embedding(cfg: ExperimentConfig) -> Report:
+def suite_carleson_embedding(cfg: ExperimentConfig) -> dict:
     """Carleson embedding: C_q of a multiplied field against N and C_q.
 
     Ratio band over the corpus plus the per-ball inequality with the
     enlarged ball, against an empirical constant ceiling.
     """
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     alpha = cfg.alpha
     beta = cfg.beta if cfg.beta is not None else 2.0 * alpha
     q = cfg.q_list[0]
@@ -735,14 +767,12 @@ def suite_carleson_embedding(cfg: ExperimentConfig) -> Report:
         )
     )
     cases = [{"ratio": r["ratio"]} for r in rows]
-    return Report("carleson_embedding", _config_echo(cfg), cases, bands,
-                  assertions, time.time() - t0)
+    return dict(cases=cases, bands=bands, assertions=assertions)
 
 
-def suite_paraproduct(cfg: ExperimentConfig) -> Report:
+def suite_paraproduct(cfg: ExperimentConfig) -> dict:
     """Boundedness ratios of the paraproduct over a (symbol, function) corpus."""
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     psi = cfg.psi_fn()
     phi = complementary(psi)
     specs = cfg.corpus_specs() or [
@@ -824,14 +854,12 @@ def suite_paraproduct(cfg: ExperimentConfig) -> Report:
         "tail_fine_above_tol": sum(r["tail_fine"] > TAIL_TOL for r in rows),
         "tail_coarse_above_tol": sum(r["tail_coarse"] > TAIL_TOL for r in rows),
     }
-    return Report("paraproduct", _config_echo(cfg), rows, bands, assertions,
-                  time.time() - t0, counts)
+    return dict(cases=rows, bands=bands, assertions=assertions, counts=counts)
 
 
-def suite_good_lambda(cfg: ExperimentConfig) -> Report:
+def suite_good_lambda(cfg: ExperimentConfig) -> dict:
     """Distributional inequality table and gamma-scaling consistency."""
-    t0 = time.time()
-    grid, scales, space = cfg.grid(), cfg.scales(), cfg.space()
+    grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     q = cfg.q_list[0]
     # one-column fields: anything smoother satisfies the inequality through
     # the Carleson term alone and fits C = 0, which checks nothing
@@ -892,8 +920,7 @@ def suite_good_lambda(cfg: ExperimentConfig) -> Report:
         for t in tables
     ]
     counts = {"wrap_warning": sum(t.wrap_warning for t in tables)}
-    return Report("good_lambda", _config_echo(cfg), cases, bands, assertions,
-                  time.time() - t0, counts)
+    return dict(cases=cases, bands=bands, assertions=assertions, counts=counts)
 
 
 SUITES = {
@@ -907,32 +934,36 @@ SUITES = {
 
 
 def run_suite(cfg: ExperimentConfig) -> Report:
-    """Run a suite; with refine set, rerun at doubled resolution and
-    assert each reported band moved by less than the stability factor."""
+    """Run a suite and assemble its report around one wall clock.
+
+    A suite returns the report's ``cases``, ``bands``, ``assertions`` and
+    optionally ``counts``; the config echo is added here.  With refine set,
+    the suite reruns at doubled N (or K) and each reported band must move
+    by less than the stability factor.
+    """
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; have {sorted(SUITES)}")
     fn = SUITES[cfg.suite]
-    base = fn(replace(cfg, refine=False))
-    if not cfg.refine:
-        return base
-    if cfg.refine_axis == "K":
-        fine_cfg = replace(cfg, refine=False, K=2 * cfg.K)
-    else:
-        fine_cfg = replace(cfg, refine=False, N=2 * cfg.N)
-    fine = fn(fine_cfg)
-    factor = cfg.stability_factor
-    for key, band in base.bands.items():
-        other = fine.bands.get(key)
-        if not other:
-            continue
-        a, b = band["max"], other["max"]
-        empty = [name for name, m in (("base", a), ("refined", b)) if math.isnan(m)]
-        if empty:
-            stable = False
-            detail = f"band is empty (max is NaN) at the {' and '.join(empty)} resolution"
-        else:
-            stable = not (a > 0 and b > 0 and max(a / b, b / a) > factor)
-            detail = f"band max moved by <= x{factor} under {cfg.refine_axis}-doubling"
-        base.assertions.append(Assertion(f"refine_stable_{key}", stable, detail))
-    base.bands["refined"] = fine.bands
-    return base
+    t0 = perf_counter()
+    parts = fn(cfg)
+    if cfg.refine:
+        axis, factor = cfg.refine_axis, cfg.stability_factor
+        fine = fn(replace(cfg, **{axis: 2 * getattr(cfg, axis)}))["bands"]
+        for key, band in parts["bands"].items():
+            other = fine.get(key)
+            if not other:
+                continue
+            a, b = band["max"], other["max"]
+            empty = [name for name, m in (("base", a), ("refined", b)) if math.isnan(m)]
+            if empty:
+                stable = False
+                detail = f"band is empty (max is NaN) at the {' and '.join(empty)} resolution"
+            else:
+                stable = not (a > 0 and b > 0 and max(a / b, b / a) > factor)
+                detail = f"band max moved by <= x{factor} under {axis}-doubling"
+            parts["assertions"].append(Assertion(f"refine_stable_{key}", stable, detail))
+        parts["bands"]["refined"] = fine
+    scales = cfg.scales()
+    echo = {**asdict(cfg), "t_min_effective": scales.t_min,
+            "t_max_effective": scales.t_max}
+    return Report(cfg.suite, echo, wallclock=perf_counter() - t0, **parts)

@@ -192,7 +192,7 @@ def test_criterion_7_stopping_time_measure_lemma():
 
 def test_criterion_8_duality_with_proof_constant():
     cfg = ExperimentConfig(suite="duality", N=512, K=32, cases=20, seed=47,
-                           q_list=[1.0], rho=2.0, space_q=2.0, space_dim=2)
+                           q_list=[1.0], rho=2.0, space={"q": 2.0, "dim": 2})
     rep = run_suite(cfg)
     worst = max(case["lhs"] / case["rhs"] for case in rep.cases)
     ok = rep.passed and worst <= 4.4
@@ -223,7 +223,7 @@ def test_criterion_10_carleson_embedding_band():
     for N in (256, 512):
         cfg = ExperimentConfig(suite="carleson_embedding", N=N, K=32, cases=20,
                                seed=49, q_list=[1.0], p_list=[2.0], alpha=1.0,
-                               beta=2.0, space_q=1.0, space_dim=3, trials=96)
+                               beta=2.0, space={"q": 1.0, "dim": 3}, trials=96)
         reps[N] = run_suite(cfg)
     ok = all(r.passed for r in reps.values())
     b_lo = reps[256].bands["embedding_ratio"]["max"]
@@ -240,7 +240,7 @@ def test_criterion_11_paraproduct_boundedness_band():
     reps = {}
     for K in (32, 64):
         cfg = ExperimentConfig(suite="paraproduct", N=512, K=K, cases=20, seed=50,
-                               p_list=[1.5, 2.0, 3.0], space_q=1.0, space_dim=3)
+                               p_list=[1.5, 2.0, 3.0], space={"q": 1.0, "dim": 3})
         reps[K] = run_suite(cfg)
     ok = all(r.passed for r in reps.values())
     stable = True
@@ -257,7 +257,7 @@ def test_criterion_11_paraproduct_boundedness_band():
 
 def test_criterion_12_theorem1_equivariances():
     cfg = ExperimentConfig(suite="charBMO", N=512, K=32, seed=51, q_list=[1.0],
-                           space_q=2.0, space_dim=2)
+                           space={"q": 2.0, "dim": 2})
     rep = run_suite(cfg)
     spread = rep.bands["ratio_q=1"]["spread"]
     names = {a.name: a.passed for a in rep.assertions}

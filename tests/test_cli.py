@@ -1,12 +1,14 @@
 import json
-import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tentspace.cli import main
+from tentspace.harness import ExperimentConfig
 from tentspace.field import SampledFunction, SpatialGrid
 from tentspace.io import read_tsf1, write_tsf1
 from tentspace.space import RandomSource, complex_gaussian_array, ell
@@ -148,6 +150,14 @@ def test_config_error_exit_code(tmp_path):
     unknown_key = tmp_path / "uk.json"
     unknown_key.write_text(json.dumps({"bogus": 1}))
     assert run_cli("suite", "duality", "--config", str(unknown_key)) == 2
+    # commands share the suites' key check: a misspelt alpha is not ignored
+    misspelt = tmp_path / "alpah.json"
+    misspelt.write_text(json.dumps({"N": 64, "K": 6, "field": {"random": {}},
+                                    "alpah": 2.0}))
+    assert run_cli("afun", "--config", str(misspelt)) == 2
+    bad_axis = tmp_path / "axis.json"
+    bad_axis.write_text(json.dumps({"refine_axis": "M"}))
+    assert run_cli("suite", "duality", "--config", str(bad_axis), "--refine") == 2
 
 
 def test_threads_env_override(tmp_path, monkeypatch):
@@ -228,3 +238,44 @@ def test_paraproduct_with_bump_phi(tmp_path):
     assert run_cli("paraproduct", "--config", str(cfg_path), "--out", str(out)) == 0
     summary = json.loads((out / "paraproduct.json").read_text())
     assert summary["lp"]["2.0"] > 0
+
+
+RESOLVED_FIELD = {"resolve": {"corpus": {"family": "bmo_log", "count": 1}}}
+
+
+@pytest.mark.parametrize("argv,cfg,rc", [
+    # one schema: the spellings each side used to refuse or crash on
+    (["nfun"], {"psi": {"name": "mexican_hat"}, "field": RESOLVED_FIELD}, 0),
+    (["nfun"], {"t_min": None, "field": {"random": {}}}, 0),
+    (["suite", "paraproduct"], {"psi": {"name": "mexican_hat"}}, 0),
+    (["suite", "duality"], {"space": {"q": 2.0, "dim": 1}}, 0),
+    # malformed space and psi values are configuration errors
+    (["nfun"], {"psi": "mexican_hat", "field": RESOLVED_FIELD}, 2),
+    (["suite", "paraproduct"], {"psi": "mexican_hat"}, 2),
+    (["suite", "paraproduct"], {"psi": {"name": "no_such_kernel"}}, 2),
+    (["suite", "paraproduct"], {"psi": {"name": "mexican_hat", "params": {"w": 1}}}, 2),
+    (["suite", "duality"], {"space": 2.0}, 2),
+    (["nfun"], {"space": {"q": 2.0, "d": 1}, "field": {"random": {}}}, 2),
+    (["nfun"], {"field": 3}, 2),
+])
+def test_one_config_schema(tmp_path, capsys, argv, cfg, rc):
+    # n_fun needs a scalar field; the default target is l^2_2
+    base = {"N": 64, "K": 8, "seed": 5, "trials": 64,
+            **({"cases": 4} if argv[0] == "suite" else {"space": {"dim": 1}})}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**base, **cfg}))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == rc
+    if rc == 2:
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_readme_configs_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"echo '(\{.*?\})' >", readme, flags=re.S)
+    assert len(blocks) >= 3
+    for block in blocks:
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        cfg.scales(), cfg.target()
+        if "file" not in cfg.psi:
+            cfg.psi_fn()

@@ -11,7 +11,6 @@ from tentspace.harness import (
     Assertion,
     CorpusSpec,
     ExperimentConfig,
-    Report,
     SUITES,
     generate_corpus,
     generate_column_corpus,
@@ -90,13 +89,13 @@ def test_all_suites_pass_small(suite):
     extra = {
         # the rank-correlation gate is calibrated for the desk-scale corpus;
         # at this miniature size it needs an explicit looser tolerance
-        "charBMO": dict(q_list=[1.0], space_q=2.0, space_dim=2,
+        "charBMO": dict(q_list=[1.0], space={"q": 2.0, "dim": 2},
                         tolerances={"rank_corr_min": 0.8}),
         "AC": dict(p_list=[2.0], q_list=[1.0], alpha_list=[1.0, 2.0]),
         "duality": dict(q_list=[1.0], rho=2.0),
         "carleson_embedding": dict(q_list=[1.0], p_list=[2.0], alpha=1.0,
-                                   beta=2.0, space_q=1.0, space_dim=2),
-        "paraproduct": dict(p_list=[2.0], space_q=1.0, space_dim=2),
+                                   beta=2.0, space={"q": 1.0, "dim": 2}),
+        "paraproduct": dict(p_list=[2.0], space={"q": 1.0, "dim": 2}),
         "good_lambda": dict(q_list=[1.0], gamma_list=[1.0, 0.5], beta=3.0),
     }[suite]
     cfg = ExperimentConfig(suite=suite, **SMALL, **extra)
@@ -199,7 +198,7 @@ def test_charbmo_translation_invariance_on_non_hilbert_target():
     # l^1_3 runs the exact closed-form sweep; the l^inf_3 case below keeps
     # the Monte Carlo sweep covered
     cfg = ExperimentConfig(suite="charBMO", n=1, N=128, K=16, seed=3, q_list=[1.0],
-                           space_q=1.0, space_dim=3, trials=128)
+                           space={"q": 1.0, "dim": 3}, trials=128)
     check = next(a for a in run_suite(cfg).assertions
                  if a.name == "translation_invariance")
     assert check.passed, check.detail
@@ -208,7 +207,7 @@ def test_charbmo_translation_invariance_on_non_hilbert_target():
 def test_charbmo_translation_invariance_on_monte_carlo_target():
     # the Monte Carlo sweep's draws do not depend on where the field sits
     cfg = ExperimentConfig(suite="charBMO", n=1, N=128, K=16, seed=3, q_list=[1.0],
-                           space_q="inf", space_dim=3, trials=128)
+                           space={"q": "inf", "dim": 3}, trials=128)
     check = next(a for a in run_suite(cfg).assertions
                  if a.name == "translation_invariance")
     assert check.passed, check.detail
@@ -220,7 +219,7 @@ def test_paraproduct_suite_fails_cleanly_without_finite_ratios(monkeypatch):
     # a zero BMO norm leaves every boundedness ratio undefined
     monkeypatch.setattr(harness, "bmo_norm", lambda f: 0.0)
     cfg = ExperimentConfig(suite="paraproduct", **SMALL, p_list=[2.0],
-                           space_q=1.0, space_dim=2)
+                           space={"q": 1.0, "dim": 2})
     rep = run_suite(cfg)
     [bounded] = [a for a in rep.assertions if a.name == "R_bounded_p=2"]
     assert not bounded.passed
@@ -238,7 +237,7 @@ def test_paraproduct_suite_passes_in_2d():
 
 def test_paraproduct_suite_counts_tails_at_each_end():
     cfg = ExperimentConfig(suite="paraproduct", **SMALL, p_list=[2.0],
-                           space_q=1.0, space_dim=2)
+                           space={"q": 1.0, "dim": 2})
     rep = run_suite(cfg)
     counts = rep.counts
     assert counts["tail_tol"] == TAIL_TOL
@@ -263,7 +262,7 @@ def test_refine_fails_on_empty_band(monkeypatch):
             "empty_base": harness._band([1.5] if fine else []),
             "empty_fine": harness._band([] if fine else [1.5]),
         }
-        return Report("stub", {}, [], bands, [Assertion("stub", True, "")])
+        return dict(cases=[], bands=bands, assertions=[Assertion("stub", True, "")])
 
     monkeypatch.setitem(harness.SUITES, "stub", stub)
     rep = run_suite(ExperimentConfig(suite="stub", **SMALL, refine=True))
@@ -280,10 +279,10 @@ def test_charbmo_shares_one_sweep_across_q():
     # Monte Carlo target, so every per-q c_fun call redraws from cfg.rng()
     corpus = [{"family": "bmo_log", "count": 2}, {"family": "bmo_step", "count": 1}]
     cfg = ExperimentConfig(suite="charBMO", N=64, K=8, seed=5, trials=32,
-                           space_q=1.0, space_dim=2, q_list=[1.0, 2.0],
+                           space={"q": 1.0, "dim": 2}, q_list=[1.0, 2.0],
                            corpus=corpus)
     rep = run_suite(cfg)
-    grid, scales, space, psi = cfg.grid(), cfg.scales(), cfg.space(), cfg.psi_fn()
+    grid, scales, space, psi = cfg.grid(), cfg.scales(), cfg.target(), cfg.psi_fn()
     fns = []
     for j, spec in enumerate(cfg.corpus_specs()):
         fns.extend(generate_corpus(spec, grid, space, cfg.rng().derive(j)))
@@ -304,3 +303,21 @@ def test_spearman_averages_tied_ranks():
     assert _spearman(a, b) == pytest.approx(spearmanr(a, b).statistic, rel=1e-12)
     assert _spearman(a, -a) == pytest.approx(-1.0, rel=1e-12)
     assert _spearman(a, np.ones_like(a)) == 0.0
+
+
+def test_refine_axis_is_checked(monkeypatch):
+    import tentspace.harness as harness
+
+    with pytest.raises(ValueError, match="refine_axis"):
+        ExperimentConfig(suite="duality", refine_axis="M")
+    seen = []
+
+    def stub(cfg):
+        seen.append((cfg.N, cfg.K))
+        return dict(cases=[], bands={"b": harness._band([1.0])}, assertions=[])
+
+    monkeypatch.setitem(harness.SUITES, "stub", stub)
+    rep = run_suite(ExperimentConfig(suite="stub", **SMALL, refine=True,
+                                     refine_axis="K"))
+    assert seen == [(128, 12), (128, 24)]
+    assert "K-doubling" in rep.assertions[0].detail
