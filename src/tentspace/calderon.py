@@ -340,7 +340,7 @@ def complementary(
         b = psi.band[1] if b is None else b
     chi = _annulus_bump(a, b, edge)
     probe = ScaleGrid(a, b, max(quad_points, 64))
-    if nondegeneracy_margin(psi, 2 if psi.n == 1 else 32, probe) < margin_tol:
+    if nondegeneracy_margin(psi, 32, probe) < margin_tol:  # both signs when n = 1
         raise ValueError(f"{psi.name} is degenerate: no complementary function")
 
     dlog = math.log(b / a) / quad_points

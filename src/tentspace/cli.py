@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calderon import complementary, make_test_function, resolve
-from .decomp import whitney, whitney_check
+from .calderon import resolve
+from .decomp import whitney, whitney_check, write_good_lambda_csv
 from .field import SampledFunction
 from .functionals import a_fun, bmo_norm, c_fun, n_fun
 from .harness import (
@@ -76,7 +76,7 @@ def _function_source(src, key: str, grid, space, seed: int) -> SampledFunction:
     elif "json_file" in src:
         obj = read_json(src["json_file"])
     elif "corpus" in src:
-        spec = CorpusSpec(**src["corpus"])
+        spec = CorpusSpec.from_dict(src["corpus"])
         members = generate_corpus(spec, grid, space, RandomSource(seed))
         if not members:
             raise ConfigError(f"{key}: corpus produced no members")
@@ -190,10 +190,7 @@ def cmd_whitney(args, cfg) -> int:
 
 def cmd_paraproduct(args, cfg) -> int:
     grid, scales, space, psi = cfg.grid(), cfg.scales(), cfg.target(), cfg.psi_fn()
-    if cfg.phi.get("name", "complementary") == "complementary":
-        phi = complementary(psi)
-    else:
-        phi = make_test_function(cfg.phi["name"], grid.n, **cfg.phi.get("params", {}))
+    phi = cfg.phi_fn(psi)
     f = _function_source(cfg.f, "f", grid, space, cfg.seed)
     u = _function_source(cfg.u, "u", grid, ell(2, 1), cfg.seed + 1)
     res = paraproduct(f, u, psi, phi, scales)
@@ -230,13 +227,8 @@ def cmd_suite(args, cfg) -> int:
 
 def _write_cases_csv(report, out: Path) -> None:
     if report.suite == "good_lambda":
-        with open(out / "good_lambda.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gamma", "lambda", "m_lhs", "m_cq", "m_beta", "fitted_C"])
-            for case in report.cases:
-                for r in case.get("rows", []):
-                    w.writerow([r["gamma"], r["lam"], r["m_lhs"], r["m_cq"],
-                                r["m_beta"], r["fitted_C"]])
+        write_good_lambda_csv(out / "good_lambda.csv",
+                              [r for case in report.cases for r in case["rows"]])
         return
     flat = [c for c in report.cases if isinstance(c, dict)]
     if not flat:

@@ -13,7 +13,9 @@ diam(Q) < d(Q, G^c) <= 4 diam(Q) while tiling the set exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from itertools import product
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "fubini_defect",
     "GoodLambdaTable",
     "good_lambda_table",
+    "write_good_lambda_csv",
     "set_measure",
 ]
 
@@ -57,24 +60,16 @@ class DyadicCube:
         return tuple(i * s for i in self.index)
 
     def children(self) -> list:
-        if len(self.index) == 1:
-            (i,) = self.index
-            return [DyadicCube(self.level + 1, (2 * i + a,)) for a in (0, 1)]
-        i, j = self.index
+        """The 2^n half-side cubes, in row-major order of their offsets."""
         return [
-            DyadicCube(self.level + 1, (2 * i + a, 2 * j + b))
-            for a in (0, 1)
-            for b in (0, 1)
+            DyadicCube(self.level + 1, tuple(2 * i + a for i, a in zip(self.index, off)))
+            for off in product((0, 1), repeat=len(self.index))
         ]
 
 
 def _complement_centers(grid: SpatialGrid, cells: np.ndarray) -> np.ndarray:
-    comp = ~cells
-    if grid.n == 1:
-        idx = np.nonzero(comp)[0]
-        return (idx + 0.5) * grid.spacing
-    ii, jj = np.nonzero(comp)
-    return np.stack([(ii + 0.5), (jj + 0.5)], axis=-1) * grid.spacing
+    """Centers of the complement cells, (M, n)."""
+    return (np.argwhere(~cells) + 0.5) * grid.spacing
 
 
 @dataclass
@@ -90,18 +85,13 @@ def _min_dist_to_points(grid: SpatialGrid, level: int, idx: np.ndarray,
     s = grid.L * 2.0 ** (-level)
     out = np.empty(idx.shape[0])
     chunk = max(1, 4_000_000 // max(pts.shape[0], 1))
+    axes = np.ascontiguousarray(pts.T)  # (n, points)
     for lo in range(0, idx.shape[0], chunk):
         sub = idx[lo: lo + chunk]
-        if grid.n == 1:
-            delta = (pts[None, :] - sub[:, 0:1] * s) % grid.L
-            gap = np.where(delta <= s, 0.0, np.minimum(delta - s, grid.L - delta))
-            out[lo: lo + chunk] = gap.min(axis=1)
-        else:
-            d0 = (pts[None, :, 0] - sub[:, 0:1] * s) % grid.L
-            d1 = (pts[None, :, 1] - sub[:, 1:2] * s) % grid.L
-            g0 = np.where(d0 <= s, 0.0, np.minimum(d0 - s, grid.L - d0))
-            g1 = np.where(d1 <= s, 0.0, np.minimum(d1 - s, grid.L - d1))
-            out[lo: lo + chunk] = np.hypot(g0, g1).min(axis=1)
+        # per-axis gaps (n, cubes, points), combined by hypot across axes
+        delta = (axes[:, None, :] - sub.T[:, :, None] * s) % grid.L
+        gap = np.where(delta <= s, 0.0, np.minimum(delta - s, grid.L - delta))
+        out[lo: lo + chunk] = functools.reduce(np.hypot, gap).min(axis=1)
     return out
 
 
@@ -109,14 +99,8 @@ def _torus_tree(grid: SpatialGrid, pts: np.ndarray):
     """KD-tree over the 3^n periodic images of a point set."""
     from scipy.spatial import cKDTree
 
-    shifts = (-grid.L, 0.0, grid.L)
-    if grid.n == 1:
-        imgs = np.concatenate([pts + m for m in shifts])[:, None]
-    else:
-        imgs = np.concatenate(
-            [pts + np.array([m0, m1]) for m0 in shifts for m1 in shifts]
-        )
-    return cKDTree(imgs)
+    shifts = product((-grid.L, 0.0, grid.L), repeat=grid.n)
+    return cKDTree(np.concatenate([pts + np.array(m) for m in shifts]))
 
 
 def _pooled_any(cells: np.ndarray, n: int) -> list[np.ndarray]:
@@ -124,11 +108,8 @@ def _pooled_any(cells: np.ndarray, n: int) -> list[np.ndarray]:
     levels = [cells]
     cur = cells
     while cur.shape[0] > 1:
-        if n == 1:
-            cur = cur.reshape(-1, 2).any(axis=1)
-        else:
-            m = cur.shape[0] // 2
-            cur = cur.reshape(m, 2, m, 2).any(axis=(1, 3))
+        m = cur.shape[0] // 2
+        cur = cur.reshape((m, 2) * n).any(axis=tuple(range(1, 2 * n, 2)))
         levels.append(cur)
     return levels[::-1]  # index by level
 
@@ -156,11 +137,8 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
 
     def intersects(level: int, idx: np.ndarray) -> np.ndarray:
         if level <= j_max:
-            mask = pooled[level]
-            return mask[tuple(idx.T)] if grid.n == 2 else mask[idx[:, 0]]
-        shift = level - j_max
-        down = idx >> shift
-        return cells[tuple(down.T)] if grid.n == 2 else cells[down[:, 0]]
+            return pooled[level][tuple(idx.T)]
+        return cells[tuple((idx >> (level - j_max)).T)]
 
     def cond_many(level: int, idx: np.ndarray) -> np.ndarray:
         # center distance brackets the cube distance within half a diameter;
@@ -176,6 +154,8 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
             cond[band] = d <= 4.0 * diam
         return cond
 
+    offsets = np.array(list(product((0, 1), repeat=grid.n)), dtype=np.int64)
+    branch = offsets.shape[0]
     out: list[DyadicCube] = []
     candidates = np.zeros((1, grid.n), dtype=np.int64)  # the root cube
     level = 0
@@ -184,14 +164,7 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
             raise RuntimeError("Whitney level sweep failed to terminate")
         # expand to children and evaluate the distance condition on them
         M = candidates.shape[0]
-        branch = 2 ** grid.n
-        if grid.n == 1:
-            kids = np.repeat(2 * candidates, 2, axis=0)
-            kids[1::2, 0] += 1
-        else:
-            kids = np.repeat(2 * candidates, 4, axis=0)
-            kids[:, 0] += np.tile([0, 0, 1, 1], M)
-            kids[:, 1] += np.tile([0, 1, 0, 1], M)
+        kids = (2 * candidates[:, None, :] + offsets).reshape(M * branch, grid.n)
         keep = intersects(level + 1, kids)
         cond_child = np.ones(kids.shape[0], dtype=bool)
         if keep.any():
@@ -229,17 +202,12 @@ def whitney_check(dec: WhitneyDecomposition) -> WhitneyReport:
     occupancy = np.zeros((scale,) * grid.n, dtype=np.uint8)
     for cube in dec.cubes:
         w = 2 ** (J - cube.level)
-        if grid.n == 1:
-            (i,) = cube.index
-            occupancy[i * w: (i + 1) * w] += 1
-        else:
-            i, j = cube.index
-            occupancy[i * w: (i + 1) * w, j * w: (j + 1) * w] += 1
+        occupancy[tuple(slice(i * w, (i + 1) * w) for i in cube.index)] += 1
     disjoint = bool(occupancy.max() <= 1)
     up = 2 ** (J - j_max)
-    want = np.repeat(cells, up, axis=0)
-    if grid.n == 2:
-        want = np.repeat(want, up, axis=1)
+    want = cells
+    for axis in range(grid.n):
+        want = np.repeat(want, up, axis=axis)
     union_exact = bool(np.array_equal(occupancy.astype(bool), want))
 
     comp = _complement_centers(grid, cells)
@@ -276,7 +244,7 @@ def _clamp_cube_distance(grid: SpatialGrid, cube: DyadicCube,
     hi = lo + s
     gaps = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
     sq = gaps * gaps
-    return float(np.sqrt(sq[:, 0] if grid.n == 1 else sq[:, 0] + sq[:, 1]).min())
+    return float(np.sqrt(sq.sum(axis=1)).min())
 
 
 @dataclass
@@ -391,12 +359,7 @@ class GoodLambdaTable:
     wrap_warning: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gamma", "lambda", "m_lhs", "m_cq", "m_beta", "fitted_C"])
-            for r in self.rows:
-                w.writerow([r["gamma"], r["lam"], r["m_lhs"], r["m_cq"],
-                            r["m_beta"], r["fitted_C"]])
+        write_good_lambda_csv(path, self.rows)
 
     def satisfied(self) -> bool:
         """Inequality m_lhs <= m_cq + C gamma^q m_beta with the fitted C."""
@@ -408,6 +371,16 @@ class GoodLambdaTable:
             if r["m_lhs"] > bound + 1e-12:
                 return False
         return True
+
+
+def write_good_lambda_csv(path, rows) -> None:
+    """One CSV line per good-lambda row, from one table or several."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["gamma", "lambda", "m_lhs", "m_cq", "m_beta", "fitted_C"])
+        for r in rows:
+            w.writerow([r["gamma"], r["lam"], r["m_lhs"], r["m_cq"],
+                        r["m_beta"], r["fitted_C"]])
 
 
 def good_lambda_table(

@@ -110,9 +110,8 @@ class SpatialGrid:
 @functools.lru_cache(maxsize=16)
 def _offset_distance(grid: SpatialGrid) -> np.ndarray:
     o = np.arange(grid.N)
-    dist = np.minimum(o, grid.N - o) * grid.spacing
-    if grid.n == 2:
-        dist = np.hypot(dist[:, None], dist[None, :])
+    axis = np.minimum(o, grid.N - o) * grid.spacing
+    dist = functools.reduce(np.hypot, np.ix_(*[axis] * grid.n))
     dist.flags.writeable = False
     return dist
 
@@ -204,12 +203,6 @@ class HalfSpaceField:
         return HalfSpaceField(
             self.grid, self.scales, self.space, np.roll(self.values, off, axis=axes)
         )
-
-    def scalar_modulus(self) -> np.ndarray:
-        """|G| for a scalar (d=1) field, shape (K, *spatial)."""
-        if self.space.dim != 1:
-            raise ValueError("scalar_modulus requires a one-dimensional target")
-        return np.abs(self.values[..., 0])
 
     @staticmethod
     def zeros(grid, scales, space) -> "HalfSpaceField":
@@ -341,7 +334,7 @@ def box_region(grid: SpatialGrid, scales: ScaleGrid, ball: Ball) -> Region:
     """
     ball.check(grid)
     t = scales.nodes()
-    dist = grid.point_distance(np.asarray(ball.center) if grid.n == 2 else ball.center)
+    dist = grid.point_distance(ball.center)
     mask = (dist.reshape(-1)[None, :] < ball.radius) & (t < ball.radius)[:, None]
     w_per_scale = np.full(scales.K, grid.cell_volume * scales.dlog)
     return _region_from_mask(grid, scales, mask.reshape((scales.K,) + grid.shape), w_per_scale)

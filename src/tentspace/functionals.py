@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 SWEEP_TRIALS = 512  # default Monte Carlo trials for whole-grid sweeps
+_COORD_NAMES = {1: ("x",), 2: ("x1", "x2")}  # CSV column names per dimension
 
 
 @dataclass
@@ -112,21 +113,17 @@ class FunctionalProfile:
         return SampledFunction(self.grid, ell(2, 1), self.values[..., None].astype(complex))
 
     def to_csv(self, path) -> None:
-        coords = self.grid.coords()
+        """One row per grid point in row-major order: coordinates, value, stderr."""
+        grid = self.grid
+        coords = grid.coords().reshape(grid.size, grid.n)
+        values = self.values.reshape(-1)
+        stderr = None if self.stderr is None else self.stderr.reshape(-1)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.grid.n == 1:
-                w.writerow(["x", "value", "stderr"])
-                for i in range(self.grid.N):
-                    err = 0.0 if self.stderr is None else float(self.stderr[i])
-                    w.writerow([coords[i], self.values[i], err])
-            else:
-                w.writerow(["x1", "x2", "value", "stderr"])
-                for i in range(self.grid.N):
-                    for j in range(self.grid.N):
-                        err = 0.0 if self.stderr is None else float(self.stderr[i, j])
-                        w.writerow([coords[i, j, 0], coords[i, j, 1],
-                                    self.values[i, j], err])
+            w.writerow([*_COORD_NAMES[grid.n], "value", "stderr"])
+            for i in range(grid.size):
+                err = 0.0 if stderr is None else float(stderr[i])
+                w.writerow([*coords[i], values[i], err])
 
 
 def _scale_weights(grid: SpatialGrid, scales: ScaleGrid) -> np.ndarray:
@@ -351,17 +348,15 @@ def c_fun(
 
 
 def n_fun(field: HalfSpaceField, alpha: float = 1.0) -> FunctionalProfile:
-    """Non-tangential maximal function of a scalar field: sup |G| on cones.
+    """Non-tangential maximal function: sup of ||F(y, t)||_X over cones.
 
-    For diagonal scalar multipliers the Gauss-bound of the range equals the
-    sup of the moduli, so this profile is exact.
+    The target norm is taken pointwise, so the profile is exact for every
+    l^q_d target (for a scalar field it is the sup of the moduli).
     """
-    if field.space.dim != 1:
-        raise ValueError("n_fun expects a scalar field (target dimension 1)")
     if alpha <= 0:
         raise ValueError("aperture must be positive")
     grid, scales = field.grid, field.scales
-    mods = field.scalar_modulus()
+    mods = norm(field.space, field.values)
     radii = alpha * scales.nodes()
     per_scale = per_scale_window_max(grid, mods, radii)
     return FunctionalProfile(

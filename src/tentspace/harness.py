@@ -92,25 +92,25 @@ class CorpusSpec:
         if self.mixing not in ("single_direction", "independent"):
             raise ValueError(f"unknown mixing rule {self.mixing!r}")
 
+    @staticmethod
+    def from_dict(d: dict) -> "CorpusSpec":
+        return _build("corpus entry", CorpusSpec, params=d)
+
 
 def _scalar_profile(family: str, grid: SpatialGrid, gen, amplitude: float,
                     band: int | None) -> np.ndarray:
     N, L = grid.N, grid.L
     if family == "bmo_log":
         x0 = grid.spacing * gen.integers(0, N, size=grid.n)
-        d = grid.point_distance(x0 if grid.n == 2 else float(x0[0]))
+        d = grid.point_distance(x0)
         floor = grid.spacing / 2.0
         return amplitude * np.log(L / np.maximum(d, floor))
     if family == "bmo_step":
         start = int(gen.integers(0, N))
         width = int(gen.integers(N // 8, N // 2 + 1))
         out = np.zeros(grid.shape)
-        if grid.n == 1:
-            idx = (start + np.arange(width)) % N
-            out[idx] = amplitude
-        else:
-            idx = (start + np.arange(width)) % N
-            out[np.ix_(idx, idx)] = amplitude
+        idx = (start + np.arange(width)) % N
+        out[np.ix_(*[idx] * grid.n)] = amplitude
         return out
     if family == "lacunary":
         J = max(int(math.log2(N)) - 2, 1)
@@ -189,19 +189,15 @@ def generate_field_corpus(
     for i in range(count):
         gen = rng.derive(20_000 + i).generator()
         coeff = np.zeros((scales.K,) + grid.shape + (space.dim,), dtype=complex)
-        if grid.n == 1:
-            idx = np.r_[0: bw + 1, grid.N - bw: grid.N]
-            coeff[:, idx, :] = complex_gaussian_array(gen, (scales.K, idx.size, space.dim))
-        else:
-            idx = np.r_[0: bw + 1, grid.N - bw: grid.N]
-            sub = complex_gaussian_array(gen, (scales.K, idx.size, idx.size, space.dim))
-            coeff[np.ix_(np.arange(scales.K), idx, idx)] = sub
+        idx = np.r_[0: bw + 1, grid.N - bw: grid.N]
+        sub = complex_gaussian_array(gen, (scales.K,) + (idx.size,) * grid.n + (space.dim,))
+        coeff[np.ix_(np.arange(scales.K), *[idx] * grid.n)] = sub
         vals = np.fft.ifftn(coeff, axes=tuple(range(1, 1 + grid.n)))
         vals *= grid.N ** (grid.n / 2)
         if localized:
             x0 = grid.spacing * gen.integers(0, grid.N, size=grid.n)
             width = float(gen.uniform(grid.L / 16, grid.L / 4))
-            d = grid.point_distance(x0 if grid.n == 2 else float(x0[0]))
+            d = grid.point_distance(x0)
             window = np.exp(-((d / width) ** 2))
             vals = vals * window[None, ..., None]
         if scale_tilt:
@@ -336,19 +332,32 @@ class ExperimentConfig:
             if not isinstance(samples, SampledFunction):
                 raise ValueError("psi file must hold spatial samples, not a field")
             return custom_from_samples(samples, spec.get("name", "custom"))
-        try:
-            return make_test_function(spec["name"], self.n, **spec.get("params", {}))
-        except TypeError as e:
-            raise ValueError(f"psi params: {e}") from e
+        return _build("psi params", make_test_function, spec["name"], self.n,
+                      params=spec.get("params", {}))
+
+    def phi_fn(self, psi: TestFunction) -> TestFunction:
+        """The paraproduct's phi: complementary to psi, or a named family."""
+        if self.phi.get("name", "complementary") == "complementary":
+            return complementary(psi)
+        return _build("phi params", make_test_function, self.phi["name"], self.n,
+                      params=self.phi.get("params", {}))
 
     def rng(self) -> RandomSource:
         return RandomSource(self.seed)
 
     def corpus_specs(self) -> list[CorpusSpec]:
-        return [CorpusSpec(**c) for c in self.corpus]
+        return [CorpusSpec.from_dict(c) for c in self.corpus]
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
+
+
+def _build(what: str, make, *args, params):
+    """make(*args, **params); a wrong, missing or non-object params is a config error."""
+    try:
+        return make(*args, **params)
+    except TypeError as e:
+        raise ValueError(f"{what}: {e}") from e
 
 
 def _check_object(name: str, value, keys) -> None:
@@ -427,15 +436,6 @@ def _band(values) -> dict:
             "dropped": dropped}
 
 
-def _default_bmo_corpus(count_each: int = 5) -> list[dict]:
-    return [
-        {"family": "bmo_log", "count": count_each},
-        {"family": "bmo_step", "count": count_each},
-        {"family": "lacunary", "count": count_each},
-        {"family": "bandlimited_random", "count": count_each},
-    ]
-
-
 def suite_charBMO(cfg: ExperimentConfig) -> dict:
     """Ratio band of ||C_q(F)||_inf against the mean-oscillation norm.
 
@@ -445,11 +445,13 @@ def suite_charBMO(cfg: ExperimentConfig) -> dict:
     """
     grid, scales, space = cfg.grid(), cfg.scales(), cfg.target()
     psi = cfg.psi_fn()
-    margin = nondegeneracy_margin(psi, 2 if cfg.n == 1 else 16,
-                                  ScaleGrid(1e-2, 1e2, 128))
+    margin = nondegeneracy_margin(psi, 16, ScaleGrid(1e-2, 1e2, 128))  # ±1 when n = 1
     if margin < 1e-8:
         raise ValueError(f"psi {psi.name!r} is degenerate (margin {margin:g})")
-    specs = cfg.corpus_specs() or [CorpusSpec(**c) for c in _default_bmo_corpus()]
+    specs = cfg.corpus_specs() or [
+        CorpusSpec(family, 5)
+        for family in ("bmo_log", "bmo_step", "lacunary", "bandlimited_random")
+    ]
     corpus = []
     for j, spec in enumerate(specs):
         corpus.extend(generate_corpus(spec, grid, space, cfg.rng().derive(j)))
@@ -494,13 +496,13 @@ def suite_charBMO(cfg: ExperimentConfig) -> dict:
     ]
 
     # exact translation equivariance of the ratio on the first usable member
-    pick = next((f for f, r in zip(corpus, rows) if r["bmo"] > zero_guard), None)
+    # (its row already holds C_q and the BMO norm of the unshifted member)
+    pick = next(((f, r) for f, r in zip(corpus, rows) if r["bmo"] > zero_guard), None)
     if pick is not None:
         q0 = cfg.q_list[0]
-        shift = grid.N // 3
-        base_fn, moved = pick, pick.shifted(shift)
-        r0 = c_fun(resolve(base_fn, psi, scales), q0, cfg.alpha, trials=cfg.trials,
-                   rng=cfg.rng()).max() / bmo_norm(base_fn)
+        base_fn, base_row = pick
+        moved = base_fn.shifted(grid.N // 3)
+        r0 = base_row["cq_inf"][q0] / base_row["bmo"]
         r1 = c_fun(resolve(moved, psi, scales), q0, cfg.alpha, trials=cfg.trials,
                    rng=cfg.rng()).max() / bmo_norm(moved)
         tol = cfg.tol("translation_tol", 1e-10)
@@ -512,13 +514,8 @@ def suite_charBMO(cfg: ExperimentConfig) -> dict:
             )
         )
         # dyadic dilation: f(2x) on the same grids
-        lifted = SampledFunction(
-            grid, space,
-            base_fn.values[(2 * np.arange(grid.N)) % grid.N]
-            if grid.n == 1
-            else base_fn.values[np.ix_((2 * np.arange(grid.N)) % grid.N,
-                                       (2 * np.arange(grid.N)) % grid.N)],
-        )
+        doubled = (2 * np.arange(grid.N)) % grid.N
+        lifted = SampledFunction(grid, space, base_fn.values[np.ix_(*[doubled] * grid.n)])
         b2 = bmo_norm(lifted)
         if b2 > zero_guard:
             r2 = c_fun(resolve(lifted, psi, scales), q0, cfg.alpha,
@@ -749,7 +746,6 @@ def suite_carleson_embedding(cfg: ExperimentConfig) -> dict:
         j = int(small_idx[gen.integers(0, small_idx.size)])
         r = float(radii[j])
         center = grid.spacing * gen.integers(0, grid.N, size=grid.n)
-        center = center if grid.n == 2 else float(center[0])
         a_vals = case["gf_cuts"][j].values
         members = grid.point_distance(center) < r
         big = grid.point_distance(center) < (1.0 + alpha + beta) * r
@@ -831,7 +827,7 @@ def suite_paraproduct(cfg: ExperimentConfig) -> dict:
     ok = True
     for u in us[: min(len(us), 20)]:
         U = resolve(u, bump, scales)
-        nprof = n_fun(HalfSpaceField(grid, scales, ell(2, 1), U.values), cfg.alpha)
+        nprof = n_fun(U, cfg.alpha)
         m = maximal_fn(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(m.values > 0, nprof.values / m.values, 0.0)

@@ -257,9 +257,18 @@ RESOLVED_FIELD = {"resolve": {"corpus": {"family": "bmo_log", "count": 1}}}
     (["suite", "duality"], {"space": 2.0}, 2),
     (["nfun"], {"space": {"q": 2.0, "d": 1}, "field": {"random": {}}}, 2),
     (["nfun"], {"field": 3}, 2),
+    # an unknown corpus key or phi parameter is a configuration error too
+    (["paraproduct"], {"f": {"corpus": {"family": "bmo_log", "count": 1, "size": 3}},
+                       "u": {"corpus": {"family": "lp_random", "count": 1}}}, 2),
+    (["suite", "charBMO"], {"corpus": [{"family": "bmo_log", "count": 2, "size": 3}]}, 2),
+    (["paraproduct"], {"f": {"corpus": {"family": "bmo_log", "count": 1}},
+                       "u": {"corpus": {"family": "lp_random", "count": 1}},
+                       "phi": {"name": "gauss_bump", "params": {"width": 1}}}, 2),
+    # N(F) takes the target norm, so a vector-valued field is accepted
+    (["nfun"], {"space": {"q": 1.0, "dim": 3}, "field": {"random": {}}}, 0),
 ])
 def test_one_config_schema(tmp_path, capsys, argv, cfg, rc):
-    # n_fun needs a scalar field; the default target is l^2_2
+    # commands run on l^2_1 unless the case sets "space"
     base = {"N": 64, "K": 8, "seed": 5, "trials": 64,
             **({"cases": 4} if argv[0] == "suite" else {"space": {"dim": 1}})}
     cfg_path = tmp_path / "cfg.json"

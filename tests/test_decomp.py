@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -101,7 +103,33 @@ def test_dyadic_cube_geometry():
     assert c.side(g) == pytest.approx(0.5)
     assert c.diam(g) == pytest.approx(0.5 * math.sqrt(2))
     assert c.anchor(g) == (1.5, 0.5)
-    assert len(c.children()) == 4
+    assert c.children() == [DyadicCube(3, (6, 2)), DyadicCube(3, (6, 3)),
+                            DyadicCube(3, (7, 2)), DyadicCube(3, (7, 3))]
+    assert DyadicCube(4, (5,)).children() == [DyadicCube(5, (10,)), DyadicCube(5, (11,))]
+
+
+# cube count and sha256 prefix of the JSON cube list [[level, *index], ...]
+# on rng.random(shape) < p masks; integer outputs, portable across builds
+WHITNEY_PINS = [
+    (1, 64, 0, 0.2, 50, "82a6a214d0f36d1f"),
+    (1, 64, 1, 0.5, 86, "14fa0be10a77c952"),
+    (1, 64, 2, 0.8, 99, "067b92d826080e43"),
+    (2, 16, 0, 0.2, 2298, "a96723097ab9daa8"),
+    (2, 16, 1, 0.5, 3718, "20273a2b06573f10"),
+    (2, 16, 2, 0.8, 3556, "0ed5fca2de858dea"),
+    (2, 32, 0, 0.2, 8896, "0c21a7904fe514fd"),
+    (2, 32, 1, 0.5, 15752, "9f8c9a64c5c53a99"),
+    (2, 32, 2, 0.8, 14642, "07cd03802c81be99"),
+]
+
+
+def test_whitney_cube_lists_pinned():
+    for n, N, seed, p, count, digest in WHITNEY_PINS:
+        grid = SpatialGrid(n, N)
+        cells = np.random.default_rng(seed).random(grid.shape) < p
+        cubes = [[c.level, *c.index] for c in whitney(grid, cells).cubes]
+        got = hashlib.sha256(json.dumps(cubes).encode()).hexdigest()[:16]
+        assert (len(cubes), got) == (count, digest), (n, N, seed, p)
 
 
 def test_stopping_time_zero_field_is_infinite():

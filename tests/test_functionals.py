@@ -372,9 +372,25 @@ def test_n_fun_constant_and_indicator():
     assert np.array_equal(prof.values, (dist < t0).astype(float))
 
 
-def test_n_fun_rejects_vector_field():
-    with pytest.raises(ValueError):
-        n_fun(random_field(ell(2, 2), 9))
+def test_n_fun_vector_field_equals_n_fun_of_norms():
+    # N(F)(x) is the sup over the cone of ||F(y, t)||_X: the field of
+    # pointwise norms, as a scalar field, has the same profile bit for bit
+    for grid in (GRID, SpatialGrid(2, 32)):
+        scales = ScaleGrid(2.0 * grid.spacing, 0.25, 8)
+        for q in (1.0, 2.0, 4.0, "inf"):
+            F = random_field(ell(q, 3), 9, grid=grid, scales=scales)
+            norms = norm(F.space, F.values)
+            scalar = HalfSpaceField(grid, scales, ell(2, 1), norms[..., None].astype(complex))
+            flat = norms.reshape(scales.K, grid.size)
+            for alpha in (0.5, 2.0):
+                got = n_fun(F, alpha).values
+                assert np.array_equal(got, n_fun(scalar, alpha).values), (grid, q)
+                # and each value is the largest norm among its cone's atoms
+                for i in (0, grid.size // 3):
+                    x = grid.coords().reshape(grid.size, -1)[i]
+                    cone = cone_region(grid, scales, x, alpha)
+                    want = flat[cone.scale_idx, cone.spatial_idx].max()
+                    assert got.reshape(-1)[i] == want, (grid, q, alpha, i)
 
 
 def test_n_fun_lower_semicontinuity_under_refinement():
