@@ -8,8 +8,10 @@ segments (row offset a, column halfwidth h), one segment in 1-D and one
 per row offset in 2-D, listed centre-out (|a| ascending).
 
 Both reductions run along the last axis only.  A segment sum is the
-difference of two circular prefix sums of its row; a segment max is a
-wrapped maximum_filter1d, one call per distinct halfwidth.  A 2-D window
+difference of two circular prefix sums of its row; a segment max is the
+max of two overlapping reads from a doubling table of running maxima over
+the same wrap-extended row (Bender and Farach-Colton, "The LCA problem
+revisited", 2000), exact for max and numpy only.  A 2-D window
 adds (or maxes) the segments of its rows, each rolled by its row offset,
 from the centre row outward.  On nonnegative input every prefix is
 nondecreasing, so a window sum is nonnegative, exactly zero away from the
@@ -24,7 +26,6 @@ import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import ndimage
 
 from .field import SpatialGrid
 
@@ -111,15 +112,47 @@ def _circ_sum_rows(rows: np.ndarray):
 
 
 def _circ_max_rows(rows: np.ndarray):
-    """Segment maxima of rows (K, R, N); see _circ_sum_rows."""
+    """Segment maxima of rows (K, R, N) from one doubling table of maxima.
+
+    Level p of the table holds, at column c of the wrap-extended rows that
+    _circ_sum_rows builds, the max of columns c..c + 2^p - 1.  A segment of
+    width w = 2h + 1 is the max of two overlapping level-p reads with
+    p = floor(log2 w), which is exact for max.  Levels are filled on first
+    use, so only the widths asked for are paid for.
+    """
+    K, R, N = rows.shape
+    H = N // 2
+    shared = rows.strides[0] == 0
+    src = rows[:1] if shared else rows
+    width = N + 2 * H
+    table = np.empty(((N - 1).bit_length(),) + src.shape[:2] + (width,),
+                     dtype=rows.dtype)
+    np.concatenate([src[..., N - H:], src, src[..., :H]], axis=-1, out=table[0])
+    flat = table.reshape(table.shape[0], -1)
+    filled = 1
+    levels = np.broadcast_to(table, (table.shape[0], K) + table.shape[2:])
+    # starts[p, k, r, s, x] = table[p, k, r, s + x]: every level-p read as a view
+    starts = as_strided(levels, shape=levels.shape[:3] + (width - N + 1, N),
+                        strides=levels.strides + levels.strides[-1:], writeable=False)
 
     def segment(ks, h, full):
+        nonlocal filled
         out = np.empty((ks.size,) + rows.shape[1:], dtype=rows.dtype)
-        for hv in np.unique(h[~full]):
-            grp = h == hv
-            out[grp] = ndimage.maximum_filter1d(
-                rows[ks[grp]], size=int(2 * hv + 1), axis=-1, mode="wrap"
-            )
+        part = ~full
+        if part.any():
+            hp = h[part]
+            w = 2 * hp + 1
+            p = np.frexp(w)[1] - 1  # floor(log2 w)
+            for lv in range(filled, int(p.max()) + 1):
+                # one flat pass per level: a column that mixes two rows lies
+                # past the row's last valid level-lv column and is never read
+                step = 1 << (lv - 1)
+                np.maximum(flat[lv - 1, :-step], flat[lv - 1, step:],
+                           out=flat[lv, :-step])
+                filled = lv + 1
+            kp = ks[part]
+            out[part] = np.maximum(starts[p, kp, :, H - hp],
+                                   starts[p, kp, :, H + hp + 1 - (1 << p)])
         if full.any():
             out[full] = rows[ks[full]].max(axis=-1, keepdims=True)
         return out

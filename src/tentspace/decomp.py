@@ -8,6 +8,14 @@ convention the maximal-cube construction terminates after at most a few
 levels below the grid (a boundary cell splits into sub-cells near the
 complement) and the emitted cubes provably satisfy the distance sandwich
 diam(Q) < d(Q, G^c) <= 4 diam(Q) while tiling the set exactly.
+
+Whitney takes cube-to-complement distances from two tables built once per
+set: for every cell, the next and the previous complement column along
+its row, with wrap.  Along one row the complement centres nearest a cube
+are those two columns around its start, so a cube's distance is the
+smallest, over the rows within 4 diam(Q) of it, of the row gap combined
+with the nearer of the two column gaps.  whitney_check recomputes the
+distances independently from a KD-tree over the periodic images.
 """
 
 from __future__ import annotations
@@ -67,11 +75,6 @@ class DyadicCube:
         ]
 
 
-def _complement_centers(grid: SpatialGrid, cells: np.ndarray) -> np.ndarray:
-    """Centers of the complement cells, (M, n)."""
-    return (np.argwhere(~cells) + 0.5) * grid.spacing
-
-
 @dataclass
 class WhitneyDecomposition:
     grid: SpatialGrid
@@ -79,28 +82,33 @@ class WhitneyDecomposition:
     cubes: list = dc_field(default_factory=list)
 
 
-def _min_dist_to_points(grid: SpatialGrid, level: int, idx: np.ndarray,
-                        pts: np.ndarray) -> np.ndarray:
-    """Min torus distance from each cube (rows of idx) to the point set."""
-    s = grid.L * 2.0 ** (-level)
-    out = np.empty(idx.shape[0])
-    chunk = max(1, 4_000_000 // max(pts.shape[0], 1))
-    axes = np.ascontiguousarray(pts.T)  # (n, points)
-    for lo in range(0, idx.shape[0], chunk):
-        sub = idx[lo: lo + chunk]
-        # per-axis gaps (n, cubes, points), combined by hypot across axes
-        delta = (axes[:, None, :] - sub.T[:, :, None] * s) % grid.L
-        gap = np.where(delta <= s, 0.0, np.minimum(delta - s, grid.L - delta))
-        out[lo: lo + chunk] = functools.reduce(np.hypot, gap).min(axis=1)
-    return out
+def _complement_columns(cells: np.ndarray):
+    """Nearest complement columns along the last axis, cyclically.
+
+    Returns (nxt, prv, has): for every cell the first complement column at
+    or after it and the last one at or before it, and whether its row holds
+    a complement cell at all (nxt and prv are meaningless where it does not).
+    """
+    N = cells.shape[-1]
+    comp = np.concatenate([~cells, ~cells], axis=-1)
+    cols = np.arange(2 * N)
+    nxt = np.minimum.accumulate(np.where(comp, cols, 2 * N)[..., ::-1], axis=-1)[..., ::-1]
+    prv = np.maximum.accumulate(np.where(comp, cols, 0), axis=-1)
+    return nxt[..., :N] % N, prv[..., N:] % N, comp.any(axis=-1)
 
 
-def _torus_tree(grid: SpatialGrid, pts: np.ndarray):
-    """KD-tree over the 3^n periodic images of a point set."""
-    from scipy.spatial import cKDTree
+def _gap(grid: SpatialGrid, s: float, coord: np.ndarray, start) -> np.ndarray:
+    """Distance along one axis from the points at coord to [start, start + s].
 
-    shifts = product((-grid.L, 0.0, grid.L), repeat=grid.n)
-    return cKDTree(np.concatenate([pts + np.array(m) for m in shifts]))
+    The nearest over the leading axis of coord and over each point's three
+    periodic images, through the clamp formula that whitney_check applies
+    to its images, so the constructor and the checker decide
+    d(Q, G^c) <= 4 diam(Q) alike.
+    """
+    shifts = np.array([-grid.L, 0.0, grid.L]).reshape((3,) + (1,) * coord.ndim)
+    images = (coord + shifts).reshape((-1,) + coord.shape[1:])
+    gap = np.maximum(start - images, images - (start + s)).min(axis=0)
+    return np.maximum(gap, 0.0, out=gap)
 
 
 def _pooled_any(cells: np.ndarray, n: int) -> list[np.ndarray]:
@@ -130,10 +138,10 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
     if cells.all():
         raise ValueError("open set must have nonempty complement")
 
-    comp_pts = _complement_centers(grid, cells)
-    tree = _torus_tree(grid, comp_pts)
+    nxt, prv, has = _complement_columns(cells)
     j_max = int(round(math.log2(grid.N)))
     pooled = _pooled_any(cells, grid.n)
+    lead = grid.n - 1  # row axes; the last axis is the column axis
 
     def intersects(level: int, idx: np.ndarray) -> np.ndarray:
         if level <= j_max:
@@ -141,18 +149,29 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
         return cells[tuple((idx >> (level - j_max)).T)]
 
     def cond_many(level: int, idx: np.ndarray) -> np.ndarray:
-        # center distance brackets the cube distance within half a diameter;
-        # the exact computation only runs on the undecided band
+        # d(Q, G^c) <= 4 diam(Q); rows farther than 4 diam from Q cannot
+        # bring d down to 4 diam, so only the nearer rows are scanned
         s = grid.L * 2.0 ** (-level)
         diam = math.sqrt(grid.n) * s
-        centers = (idx + 0.5) * s
-        dc = tree.query(centers)[0]
-        cond = dc <= 4.0 * diam
-        band = ~cond & (dc - diam / 2.0 <= 4.0 * diam)
-        if band.any():
-            d = _min_dist_to_points(grid, level, idx[band], comp_pts)
-            cond[band] = d <= 4.0 * diam
-        return cond
+        reach = 4.0 * diam
+        m = idx.shape[0]
+        start = (idx * s).T.reshape((grid.n, m) + (1,) * lead)
+        span = min(grid.N, int((s + 2.0 * reach) / grid.spacing) + 4)
+        rows, gaps = [], []
+        for i in range(lead):
+            lo = np.floor((idx[:, i] * s - reach) / grid.spacing).astype(np.int64) - 1
+            shape = (m,) + (1,) * i + (span,) + (1,) * (lead - 1 - i)
+            rows.append(((lo[:, None] + np.arange(span)) % grid.N).reshape(shape))
+            gaps.append(_gap(grid, s, (rows[-1][None] + 0.5) * grid.spacing, start[i]))
+        # first column whose centre is at or after the cube's start
+        c, e = idx[:, -1], level - j_max
+        first = c << -e if e <= 0 else (2 * c + (1 << e) - 1) >> (e + 1)
+        first = first.reshape((m,) + (1,) * lead)
+        cols = np.stack([nxt[(*rows, first % grid.N)], prv[(*rows, (first - 1) % grid.N)]])
+        gaps.append(_gap(grid, s, (cols + 0.5) * grid.spacing, start[-1]))
+        d = np.sqrt(functools.reduce(np.add, [g * g for g in gaps]))
+        d = np.where(has[tuple(rows)], d, np.inf)
+        return d.reshape(m, -1).min(axis=1) <= reach
 
     offsets = np.array(list(product((0, 1), repeat=grid.n)), dtype=np.int64)
     branch = offsets.shape[0]
@@ -170,8 +189,7 @@ def whitney(grid: SpatialGrid, cells: np.ndarray) -> WhitneyDecomposition:
         if keep.any():
             cond_child[keep] = cond_many(level + 1, kids[keep])
         fails = (keep & ~cond_child).reshape(M, branch).any(axis=1)
-        for row in candidates[fails]:
-            out.append(DyadicCube(level, tuple(int(v) for v in row)))
+        out.extend(DyadicCube(level, tuple(row)) for row in candidates[fails].tolist())
         survive = np.repeat(~fails, branch) & keep
         candidates = kids[survive]
         level += 1
@@ -190,9 +208,10 @@ class WhitneyReport:
 def whitney_check(dec: WhitneyDecomposition) -> WhitneyReport:
     """Independent verification of the three Whitney conditions.
 
-    Distances are recomputed with a shifted-image formula rather than the
-    constructor's modular one, and coverage is checked by exact integer
-    occupancy marks on a virtual refinement of the grid.
+    Distances come from a KD-tree over the periodic images of the
+    complement centres rather than the constructor's row tables, and
+    coverage is checked by exact integer occupancy marks on a virtual
+    refinement of the grid.
     """
     grid, cells = dec.grid, dec.cells
     j_max = int(round(math.log2(grid.N)))
@@ -210,41 +229,46 @@ def whitney_check(dec: WhitneyDecomposition) -> WhitneyReport:
         want = np.repeat(want, up, axis=axis)
     union_exact = bool(np.array_equal(occupancy.astype(bool), want))
 
-    comp = _complement_centers(grid, cells)
-    tree = _torus_tree(grid, comp)
-    image_pts = np.asarray(tree.data)
-    sandwich_ok = True
-    worst = {"ratio_low": math.inf, "ratio_high": 0.0}
-    for cube in dec.cubes:
-        dmin = _clamp_cube_distance(grid, cube, image_pts, tree)
-        diam = cube.diam(grid)
-        ratio = dmin / diam
-        worst["ratio_low"] = min(worst["ratio_low"], ratio)
-        worst["ratio_high"] = max(worst["ratio_high"], ratio)
-        if not (diam < dmin <= 4.0 * diam):
-            sandwich_ok = False
+    sandwich_ok, worst = _check_sandwich(grid, cells, dec.cubes)
     ok = disjoint and union_exact and sandwich_ok
     return WhitneyReport(ok, disjoint, union_exact, sandwich_ok, worst)
 
 
-def _clamp_cube_distance(grid: SpatialGrid, cube: DyadicCube,
-                         image_pts: np.ndarray, tree) -> float:
-    """Exact box-to-point-set distance via unfolded images and clamping.
+def _check_sandwich(grid: SpatialGrid, cells: np.ndarray, cubes: list):
+    """diam(Q) < d(Q, G^c) <= 4 diam(Q) for every cube, by a KD-tree.
 
-    The center distance brackets the answer within half a diameter, so
-    only images inside that radius need the exact clamp formula.
+    Exact box-to-point-set distances via unfolded images and clamping: the
+    tree holds the 3^n periodic images of the complement centres, and the
+    centre distance brackets each cube's answer within half a diameter, so
+    only the images inside that radius need the clamp formula.  One query
+    and one ball query cover all cubes.
     """
-    s = cube.side(grid)
-    anchor = np.asarray(cube.anchor(grid), dtype=float)
-    center = anchor + s / 2.0
-    dc = float(tree.query(center[None, :])[0][0])
-    near = tree.query_ball_point(center, dc + s * math.sqrt(grid.n) / 2.0 + 1e-12)
-    pts = image_pts[near]
-    lo = anchor[None, :]
-    hi = lo + s
+    from scipy.spatial import cKDTree
+
+    if not cubes:
+        return True, {"ratio_low": math.inf, "ratio_high": 0.0}
+    comp = (np.argwhere(~cells) + 0.5) * grid.spacing  # complement centres
+    shifts = product((-grid.L, 0.0, grid.L), repeat=grid.n)
+    images = np.concatenate([comp + np.array(m) for m in shifts])
+    tree = cKDTree(images)
+    side = np.array([c.side(grid) for c in cubes])
+    anchor = np.array([c.anchor(grid) for c in cubes], dtype=float)
+    diam = np.array([c.diam(grid) for c in cubes])
+    center = anchor + side[:, None] / 2.0
+    dc = tree.query(center)[0]
+    near = tree.query_ball_point(center, dc + diam / 2.0 + 1e-12)
+    counts = np.array([len(v) for v in near])
+    which = np.repeat(np.arange(len(cubes)), counts)
+    pts = images[np.concatenate(near)]
+    lo = anchor[which]
+    hi = lo + side[which, None]
     gaps = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
     sq = gaps * gaps
-    return float(np.sqrt(sq.sum(axis=1)).min())
+    dist = np.sqrt(sq.sum(axis=1))
+    dmin = np.minimum.reduceat(dist, np.cumsum(counts) - counts)
+    ratio = dmin / diam
+    worst = {"ratio_low": float(ratio.min()), "ratio_high": float(ratio.max())}
+    return bool(np.all((diam < dmin) & (dmin <= 4.0 * diam))), worst
 
 
 @dataclass

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .field import HalfSpaceField, Region
 from .space import (
@@ -97,6 +96,8 @@ def _closed_form_moment(space, trace, covariance):
         return trace()
     if space.q != 1.0:
         return None
+    from scipy.special import hyp2f1  # importing scipy.special costs about 0.3 s
+
     upper = covariance()
     i, j = np.triu_indices(space.dim)
     off = i < j

@@ -411,12 +411,22 @@ def _parallel(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x; each run of tied values shares its average rank."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _spearman(a, b) -> float:
     """Spearman rank correlation; tied values share their average rank."""
-    from scipy.stats import rankdata  # importing scipy.stats costs about 0.6 s
-
-    ra = rankdata(a)
-    rb = rankdata(b)
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     ca = ra - ra.mean()
     cb = rb - rb.mean()
     denom = math.sqrt(float((ca * ca).sum() * (cb * cb).sum()))

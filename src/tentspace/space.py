@@ -169,12 +169,18 @@ def _squared_norm2(values: np.ndarray) -> np.ndarray:
 
 
 def pair(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
-    """Bilinear duality product sum_i x_i * xd_i over the last axis."""
+    """Bilinear duality product sum_i x_i * xd_i over the last axis.
+
+    Folded one component at a time, with the bits of
+    (x * xd).sum(axis=-1) for up to seven real or three complex
+    components (numpy sums complex vectors of four or more components
+    through eight accumulators over their interleaved parts).
+    """
     x = np.asarray(x)
     xd = np.asarray(xd)
     if x.shape[-1] != xd.shape[-1]:
         raise ValueError("dimension mismatch in duality product")
-    return (x * xd).sum(axis=-1)
+    return _fold(x * xd)[()]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -181,6 +182,43 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tentspace" in proc.stdout
+
+
+EXACT_PATH_SCRIPT = """
+import sys
+
+import numpy as np
+
+import tentspace as ts
+from tentspace.harness import CorpusSpec, generate_corpus
+
+for n, N in ((1, 64), (2, 16)):
+    grid = ts.SpatialGrid(n, N)
+    scales = ts.ScaleGrid(2.0 * grid.spacing, 0.25, 8)
+    radii = ts.dyadic_radii(grid)
+    f = generate_corpus(CorpusSpec("bmo_log", 1), grid, ts.ell(2, 2), ts.RandomSource(1))[0]
+    u = generate_corpus(CorpusSpec("lp_random", 1), grid, ts.ell(2, 1), ts.RandomSource(2))[0]
+    psi = ts.mexican_hat(n)
+    F = ts.resolve(f, psi, scales)
+    cuts = ts.a_fun_cuts(F, 1.0, list(radii))
+    ts.c_fun(F, 1.0, radii=radii, a_profiles=cuts)
+    ts.bmo_norm(f)
+    ts.paraproduct(f, u, psi, ts.complementary(psi), scales)
+    ts.stopping_time(F, q=1.0, rho=2.0)
+    A = cuts[0].values
+    ts.whitney(grid, A > np.percentile(A, 90))
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_exact_path_leaves_scipy_unloaded():
+    # scipy costs a fresh interpreter about 0.4 s: only the l^1 closed form,
+    # whitney_check and the tests load it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", EXACT_PATH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == []
 
 
 def test_custom_psi_from_tsf1(tmp_path):

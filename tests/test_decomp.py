@@ -132,6 +132,17 @@ def test_whitney_cube_lists_pinned():
         assert (len(cubes), got) == (count, digest), (n, N, seed, p)
 
 
+def test_whitney_passes_checker_at_a_period_not_a_power_of_two():
+    # at L = 2 pi a cube at exactly 4 diam from the complement is decided by
+    # rounding; whitney must round as whitney_check does
+    for n, N, seed, p in [(1, 128, 6, 0.9), (1, 128, 8, 0.6), (2, 8, 2, 0.9),
+                          (2, 16, 7, 0.9)]:
+        grid = SpatialGrid(n, N, 2 * math.pi)
+        cells = np.random.default_rng(seed).random(grid.shape) < p
+        rep = whitney_check(whitney(grid, cells))
+        assert rep.ok, (n, N, seed, p, rep)
+
+
 def test_stopping_time_zero_field_is_infinite():
     f = HalfSpaceField.zeros(GRID, SCALES, ell(2, 1))
     prof = stopping_time(f, q=1.0, rho=2.0)

@@ -96,6 +96,22 @@ def test_pair_orthogonal_and_zero():
     assert pair(np.array([2.0, 3.0]), np.zeros(2)) == 0.0
 
 
+@pytest.mark.parametrize("lead", [(), (300,), (4, 5)])
+def test_pair_is_bit_exact_to_numpy_sum(lead):
+    for d in range(1, 8):
+        gen = RandomSource(d, len(lead)).generator()
+        x = complex_gaussian_array(gen, lead + (d,))
+        xd = complex_gaussian_array(gen, lead + (d,))
+        for a, b in ((x.real, xd.real), (x, xd), (x, xd.real)):
+            got, want = pair(a, b), (a * b).sum(axis=-1)
+            assert type(got) is type(want) and np.shape(got) == lead
+            if d <= 3 or not np.iscomplexobj(want):
+                assert np.array_equal(got, want), (d, a.dtype, b.dtype)
+            else:  # numpy sums four or more complex terms pairwise
+                scale = np.abs(a * b).sum(axis=-1)
+                assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
 def test_pair_hoelder_on_random_draws():
     # |<x, xd>| <= ||x||_q ||xd||_{q'} for 10^4 draws in l^3_4 x l^{3/2}_4
     x_space = ell(3, 4)
