@@ -175,7 +175,11 @@ def cmd_whitney(args, cfg) -> int:
     else:
         raise ConfigError("set: provide 'cells_file' or 'threshold'")
     dec = whitney(cfg.grid(), cells)
-    rep = whitney_check(dec)
+    try:
+        rep = whitney_check(dec)
+    except ImportError as e:  # scipy is an optional extra
+        print(f"whitney: {e}", file=sys.stderr)
+        return 2
     out = _out_dir(args)
     _write_summary(out, "whitney.json", {
         "cube_count": len(dec.cubes),

@@ -211,7 +211,8 @@ def whitney_check(dec: WhitneyDecomposition) -> WhitneyReport:
     Distances come from a KD-tree over the periodic images of the
     complement centres rather than the constructor's row tables, and
     coverage is checked by exact integer occupancy marks on a virtual
-    refinement of the grid.
+    refinement of the grid.  The KD-tree is scipy's, the optional
+    ``tentspace[check]`` extra: without scipy this raises ImportError.
     """
     grid, cells = dec.grid, dec.cells
     j_max = int(round(math.log2(grid.N)))
@@ -243,7 +244,10 @@ def _check_sandwich(grid: SpatialGrid, cells: np.ndarray, cubes: list):
     only the images inside that radius need the clamp formula.  One query
     and one ball query cover all cubes.
     """
-    from scipy.spatial import cKDTree
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError as e:
+        raise ImportError("whitney_check needs scipy: pip install tentspace[check]") from e
 
     if not cubes:
         return True, {"ratio_low": math.inf, "ratio_high": 0.0}

@@ -55,7 +55,7 @@ from .field import (
     SpatialGrid,
     dyadic_radii,
 )
-from .gaussnorm import _closed_form_moment, _estimate_from_moments
+from .gaussnorm import _closed_form_moment, _estimate_from_moments, _triu
 from .space import (
     RandomSource,
     _norm_from_squares,
@@ -166,9 +166,9 @@ def _cone_covariance(field: HalfSpaceField, alpha: float,
                      cut_indices: np.ndarray) -> np.ndarray:
     """Upper triangle of C_h(x) at each cut: (cuts, *spatial, d(d+1)/2).
 
-    Entries on the last axis in np.triu_indices(d) order.
+    Entries on the last axis in _triu(d) order.
     """
-    i, j = np.triu_indices(field.space.dim)
+    i, j = _triu(field.space.dim)
     entries = np.moveaxis(field.values[..., i] * field.values[..., j].conj(), -1, 1)
     return np.moveaxis(_cone_sums(field, alpha, entries, cut_indices), 1, -1)
 
@@ -189,7 +189,7 @@ def _a_sampled(field: HalfSpaceField, alpha: float, cut_indices: np.ndarray,
     """
     grid, d = field.grid, field.space.dim
     bands, inv = np.unique(cut_indices, return_inverse=True)
-    i, j = np.triu_indices(d)
+    i, j = _triu(d)
     cov = np.zeros((bands.size, grid.size, d, d), dtype=complex)
     cov[..., i, j] = _cone_covariance(field, alpha, bands).reshape(
         bands.size, grid.size, i.size)

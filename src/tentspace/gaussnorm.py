@@ -11,7 +11,8 @@ closed form exists:
   over the atoms.
 - l^1_d: the diagonal of C plus, for each pair of components, the product
   moment of two correlated Rayleigh moduli, a 2F1 of their squared
-  correlation.
+  correlation (Miller 1964), evaluated in numpy by the arithmetic-geometric
+  mean of the complete elliptic integrals (Abramowitz & Stegun 17.6).
 
 Exact results carry stderr 0.  Other targets (l^q with q != 1, 2 and
 l^inf at d >= 2), and every target under ``force_mc``, are estimated by
@@ -34,6 +35,7 @@ Hermitian PSD root.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,34 +80,60 @@ def _atom_values(field: HalfSpaceField, region: Region) -> tuple[np.ndarray, np.
     return vals, np.sqrt(region.weights)
 
 
+@functools.cache
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d), built once per d and read-only."""
+    pair = np.triu_indices(d)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+def _hyp2f1_agm(x: np.ndarray) -> np.ndarray:
+    """2F1(-1/2, -1/2; 1; x) elementwise for x in [0, 1].
+
+    It is (2/pi)(2E(x) - (1 - x)K(x)) in the complete elliptic integrals of
+    parameter x.  The AGM a_n, b_n of (1, sqrt(1 - x)) with c_{n+1} =
+    (a_n - b_n)/2 gives K = pi/(2a) and E = K(1 - s), s = sum_n 2^(n-1) c_n^2
+    (Abramowitz & Stegun 17.6), so 2F1 = (1 + x - 2s)/a.  Seven steps match
+    scipy's hyp2f1 to 6e-14 relative up to 1 - 2^-53.  At x = 1 the AGM does
+    not converge, and the value there is 4/pi.
+    """
+    a, b, s, w = 1.0, np.sqrt(1.0 - x), 0.5 * x, 0.5
+    for _ in range(7):
+        c = 0.5 * (a - b)
+        a, b, w = a - c, np.sqrt(a * b), 2.0 * w
+        s = s + w * c * c
+    return np.where(x < 1.0, (1.0 + x - 2.0 * s) / a, 4.0 / math.pi)
+
+
 def _closed_form_moment(space, trace, covariance):
     """E ||S||_X^2 for S ~ CN(0, C) in closed form, or None where none exists.
 
     Each argument is called only by the branch that needs it: ``trace()``
     gives tr C, ``covariance()`` C's upper triangle, entries on the last
-    axis in np.triu_indices(d) order; any leading axes broadcast.
+    axis in _triu(d) order; any leading axes broadcast.
 
     - l^2, and every target at d = 1: tr C.
     - l^1_d: sum_j C_jj + sum_{i != j} (pi/4) sqrt(C_ii C_jj)
       2F1(-1/2, -1/2; 1; |C_ij|^2 / (C_ii C_jj)), the product moment of two
       correlated Rayleigh moduli (K. S. Miller, Multidimensional Gaussian
-      Distributions, 1964).  The squared correlation is clipped to [0, 1],
-      and a pair with a zero variance adds no cross term.
+      Distributions, 1964), the 2F1 by the AGM (_hyp2f1_agm).  The squared
+      correlation is clipped to [0, 1], and a pair with a zero variance adds
+      no cross term.
     """
     if space.is_hilbert or space.dim == 1:
         return trace()
     if space.q != 1.0:
         return None
-    from scipy.special import hyp2f1  # importing scipy.special costs about 0.3 s
-
     upper = covariance()
-    i, j = np.triu_indices(space.dim)
+    i, j = _triu(space.dim)
     off = i < j
     var = np.maximum(upper[..., ~off].real, 0.0)
     prod = var[..., i[off]] * var[..., j[off]]
     live = prod > 0.0
     rho2 = np.clip(np.abs(upper[..., off]) ** 2 / np.where(live, prod, 1.0), 0.0, 1.0)
-    cross = np.where(live, np.sqrt(prod) * hyp2f1(-0.5, -0.5, 1.0, rho2), 0.0)
+    cross = np.where(live, np.sqrt(prod) * _hyp2f1_agm(rho2), 0.0)
     return _fold(var) + (math.pi / 2.0) * _fold(cross)
 
 
@@ -176,7 +204,7 @@ def gauss_norm(
         def covariance():
             vals, wsqrt = _atom_values(field, region)
             m = wsqrt[:, None] * vals
-            return (m.T @ m.conj())[np.triu_indices(field.space.dim)]
+            return (m.T @ m.conj())[_triu(field.space.dim)]
 
         moment = _closed_form_moment(field.space, trace, covariance)
         if moment is not None:

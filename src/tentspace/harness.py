@@ -295,6 +295,9 @@ class ExperimentConfig:
         for key in ("input", "field", "set", "f", "u", "g", "phi"):
             if getattr(self, key) is not None:
                 _check_object(key, getattr(self, key), None)
+        # JSON has no inf literal: exponents also take the string form
+        self.p_list = [_as_exponent(p) for p in self.p_list]
+        self.q_list = [_as_exponent(q) for q in self.q_list]
         self.space = {"q": 2.0, "dim": 2, **self.space}
         if "file" not in self.psi:
             self.psi = {"name": "mexican_hat", **self.psi}
@@ -306,9 +309,6 @@ class ExperimentConfig:
         unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "p_list" in d:  # JSON has no inf literal; accept the string form
-            d["p_list"] = [_as_exponent(p) for p in d["p_list"]]
         return ExperimentConfig(**d)
 
     def grid(self) -> SpatialGrid:

@@ -207,18 +207,63 @@ for n, N in ((1, 64), (2, 16)):
     ts.stopping_time(F, q=1.0, rho=2.0)
     A = cuts[0].values
     ts.whitney(grid, A > np.percentile(A, 90))
+    # the l^1_3 closed form, on regions and in the sweeps
+    G = ts.HalfSpaceField(grid, scales, ts.ell(1, 3), F.values[..., [0, 0, 1]])
+    x = (0.25,) * n
+    ts.gauss_norm(G, ts.cone_region(grid, scales, x, 1.0, 0.2))
+    ts.gauss_norm(G, ts.box_region(grid, scales, ts.ball_at(grid, x, 0.1)))
+    ts.c_fun(G, 1.0, radii=radii, a_profiles=ts.a_fun_cuts(G, 1.0, list(radii)))
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_exact_path_leaves_scipy_unloaded():
-    # scipy costs a fresh interpreter about 0.4 s: only the l^1 closed form,
-    # whitney_check and the tests load it
+    # scipy costs a fresh interpreter about 0.4 s: only whitney_check and
+    # the tests load it
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", EXACT_PATH_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split() == []
+
+
+WITHOUT_SCIPY_SCRIPT = """
+import json, sys
+
+sys.modules["scipy"] = None  # as if scipy were not installed
+
+import numpy as np
+
+import tentspace as ts
+from tentspace.cli import main
+
+grid = ts.SpatialGrid(1, 64)
+cells = np.zeros(64, dtype=bool)
+cells[20:29] = True
+try:
+    ts.whitney_check(ts.whitney(grid, cells))
+except ImportError as e:
+    print(e)
+with open(sys.argv[1], "w") as fh:
+    json.dump({"n": 1, "N": 64, "set": {"cells_file": sys.argv[2]}}, fh)
+with open(sys.argv[2], "w") as fh:
+    json.dump(cells.tolist(), fh)
+sys.exit(main(["whitney", "--config", sys.argv[1], "--out", sys.argv[3]]))
+"""
+
+
+def test_whitney_check_without_scipy_names_the_extra(tmp_path):
+    # scipy is the optional [check] extra: the checker raises a clear
+    # ImportError and the whitney command exits 2 with it, not a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY_SCRIPT,
+                           str(tmp_path / "cfg.json"), str(tmp_path / "cells.json"),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "pip install tentspace[check]" in done.stdout
+    assert done.returncode == 2
+    assert "pip install tentspace[check]" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_custom_psi_from_tsf1(tmp_path):

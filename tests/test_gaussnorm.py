@@ -14,6 +14,7 @@ from tentspace.field import (
 )
 from tentspace.gaussnorm import (
     _closed_form_moment,
+    _hyp2f1_agm,
     duality_defect,
     gauss_norm,
     paired_multiplier_defect,
@@ -315,4 +316,15 @@ def test_closed_form_clips_the_squared_correlation():
     assert moment == pytest.approx(25.0, rel=1e-12)
     zero_var = np.array([4.0, 0.0, 0.0], dtype=complex)
     assert _closed_form_moment(space, None, lambda: zero_var) == 4.0
+
+
+def test_agm_hyp2f1_matches_scipy():
+    # scipy is a test-only oracle: the library evaluates 2F1 by the AGM
+    from scipy.special import hyp2f1
+
+    for x in (np.linspace(0.0, 1.0, 20_001)[:-1], 1.0 - np.logspace(-16, -1, 2_000)):
+        ref = hyp2f1(-0.5, -0.5, 1.0, x)
+        assert np.max(np.abs(_hyp2f1_agm(x) / ref - 1.0)) <= 1e-13
+    # at x = 1 the AGM does not converge; the value is 4/pi
+    assert _hyp2f1_agm(np.ones(3)) == pytest.approx(np.full(3, 4.0 / math.pi), rel=1e-13)
 

@@ -305,6 +305,15 @@ def test_spearman_averages_tied_ranks():
     assert _spearman(a, np.ones_like(a)) == 0.0
 
 
+def test_config_built_directly_accepts_inf_exponents():
+    # from_dict and the CLI read "inf" from JSON; a library caller may pass it too
+    cfg = ExperimentConfig(suite="paraproduct", p_list=["inf", 2], q_list=["Infinity", 1])
+    assert cfg.p_list == [math.inf, 2.0] and cfg.q_list == [math.inf, 1.0]
+    rep = run_suite(ExperimentConfig(suite="paraproduct", **dict(SMALL, cases=3),
+                                     p_list=["inf"]))
+    assert any("p=inf" in k for k in rep.bands)
+
+
 def test_refine_axis_is_checked(monkeypatch):
     import tentspace.harness as harness
 
