@@ -291,6 +291,11 @@ def unit_directions(n: int, count: int) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
+def _ray_points(units: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t * u for nodes t (axis 1) on rays u: (m,) signs or (m, 2) vectors."""
+    return units[:, None] * t.reshape((-1,) + (1,) * (units.ndim - 1))
+
+
 def nondegeneracy_margin(psi: TestFunction, directions: int,
                          scales: ScaleGrid) -> float:
     """min over rays of max over the scale nodes of |psi_hat(t * xi)|.
@@ -299,13 +304,8 @@ def nondegeneracy_margin(psi: TestFunction, directions: int,
     """
     if directions < 1:
         raise ValueError("need at least one direction")
-    dirs = unit_directions(psi.n, directions)
-    t = scales.nodes()
-    margin = math.inf
-    for d in np.atleast_1d(dirs) if psi.n == 1 else dirs:
-        pts = t * d if psi.n == 1 else t[:, None] * d[None, :]
-        margin = min(margin, float(np.abs(psi.fourier(pts)).max()))
-    return margin
+    pts = _ray_points(unit_directions(psi.n, directions), scales.nodes())
+    return float(np.abs(psi.fourier(pts)).max(axis=1).min())
 
 
 def complementary(
@@ -349,13 +349,7 @@ def complementary(
     n = psi.n
 
     def ray_normalizer(units: np.ndarray) -> np.ndarray:
-        # units: (m, n) unit vectors (n=1: (m,) signs); psi.fourier reduces
-        # the coordinate axis, so the quadrature nodes are the last axis
-        if n == 1:
-            pts = units[..., None] * s_nodes
-        else:
-            pts = units[..., None, :] * s_nodes[:, None]
-        vals = np.abs(np.asarray(psi.fourier(pts))) ** 2
+        vals = np.abs(np.asarray(psi.fourier(_ray_points(units, s_nodes)))) ** 2
         return (vals * chi_s).sum(axis=-1) * dlog
 
     def phi_hat(xi):
@@ -401,10 +395,8 @@ def reproducing_residual(
     """
     dlog = math.log(t_hi / t_lo) / quad_points
     t = np.exp(math.log(t_lo) + (np.arange(quad_points) + 0.5) * dlog)
-    worst = 0.0
-    for xi in np.atleast_1d(frequencies) if psi.n == 1 else np.atleast_2d(frequencies):
-        pts = t * xi if psi.n == 1 else t[:, None] * np.asarray(xi)[None, :]
-        integrand = np.asarray(psi.fourier(pts)) * np.asarray(phi.fourier(-pts))
-        val = integrand.sum() * dlog
-        worst = max(worst, abs(val - 1.0))
-    return worst
+    # one frequency per row: (m,) on the line, (m, 2) in the plane
+    xi = np.reshape(frequencies, (-1,) + (psi.n,) * (psi.n - 1))
+    pts = _ray_points(xi, t)
+    integrand = np.asarray(psi.fourier(pts)) * np.asarray(phi.fourier(-pts))
+    return float(np.abs(integrand.sum(axis=-1) * dlog - 1.0).max(initial=0.0))

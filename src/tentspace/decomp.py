@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._windows import per_scale_window_sum
-from .field import HalfSpaceField, ScaleGrid, SpatialGrid, dyadic_radii
+from .field import HalfSpaceField, ScaleGrid, SpatialGrid, cone_weights, dyadic_radii
 from .functionals import FunctionalProfile, a_fun, a_fun_cuts, c_fun
 from .space import RandomSource
 
@@ -362,10 +362,8 @@ def fubini_defect(H, tau: StoppingProfile) -> float:
     if np.any(vals < 0):
         raise ValueError("H must be nonnegative")
 
-    t = scales.nodes()
-    w_cone = grid.cell_volume * scales.dlog * t ** (-grid.n)
-    per_scale = per_scale_window_sum(grid, vals, tau.alpha * t)
-    per_scale = per_scale * w_cone.reshape((-1,) + (1,) * grid.n)
+    per_scale = per_scale_window_sum(grid, vals, tau.alpha * scales.nodes())
+    per_scale = per_scale * cone_weights(grid, scales).reshape((-1,) + (1,) * grid.n)
     prefix = np.concatenate(
         [np.zeros((1,) + grid.shape), np.cumsum(per_scale, axis=0)], axis=0
     )

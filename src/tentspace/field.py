@@ -26,6 +26,7 @@ __all__ = [
     "Ball",
     "Region",
     "torus_dist",
+    "cone_weights",
     "cone_region",
     "box_region",
     "dyadic_radii",
@@ -285,12 +286,6 @@ class Region:
         flat = field.values.reshape(field.scales.K, field.grid.size, field.space.dim)
         return flat[self.scale_idx, self.spatial_idx, :]
 
-    def mask(self) -> np.ndarray:
-        """Boolean (K, *spatial) membership array."""
-        m = np.zeros((self.scales.K, self.grid.size), dtype=bool)
-        m[self.scale_idx, self.spatial_idx] = True
-        return m.reshape((self.scales.K,) + self.grid.shape)
-
 
 def _check_index(name: str, lo, hi, stop: int) -> None:
     """Reject a region whose smallest or largest index lies outside [0, stop)."""
@@ -308,6 +303,11 @@ def _region_from_mask(grid, scales, mask, weights_per_scale) -> Region:
     return Region(grid, scales, flat_idx, k_idx, w)
 
 
+def cone_weights(grid: SpatialGrid, scales: ScaleGrid) -> np.ndarray:
+    """Per-atom weight of dy dt / t^(n+1) at each scale: dy^n dlog t t^-n."""
+    return grid.cell_volume * scales.dlog * scales.nodes() ** (-grid.n)
+
+
 def cone_region(grid: SpatialGrid, scales: ScaleGrid, x, alpha: float,
                 h: float | None = None) -> Region:
     """Cone of base x and aperture alpha, truncated below height h.
@@ -322,8 +322,8 @@ def cone_region(grid: SpatialGrid, scales: ScaleGrid, x, alpha: float,
     dist = grid.point_distance(x).reshape(-1)
     keep_scale = np.ones(scales.K, dtype=bool) if h is None else (t < h)
     mask = (dist[None, :] < alpha * t[:, None]) & keep_scale[:, None]
-    w_per_scale = grid.cell_volume * scales.dlog * t ** (-grid.n)
-    return _region_from_mask(grid, scales, mask.reshape((scales.K,) + grid.shape), w_per_scale)
+    return _region_from_mask(grid, scales, mask.reshape((scales.K,) + grid.shape),
+                             cone_weights(grid, scales))
 
 
 def box_region(grid: SpatialGrid, scales: ScaleGrid, ball: Ball) -> Region:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._windows import (
+from ._windows import (  # window_sum, window_max: perfbench/worker.py traces them here
     ball_segments,
     per_scale_window_max,
     per_scale_window_sum,
@@ -53,6 +53,7 @@ from .field import (
     SampledFunction,
     ScaleGrid,
     SpatialGrid,
+    cone_weights,
     dyadic_radii,
 )
 from .gaussnorm import _closed_form_moment, _estimate_from_moments, _triu
@@ -126,12 +127,6 @@ class FunctionalProfile:
                 w.writerow([*coords[i], values[i], err])
 
 
-def _scale_weights(grid: SpatialGrid, scales: ScaleGrid) -> np.ndarray:
-    """Per-atom dmu weight at each scale: dy^n * dlog t * t^-n."""
-    t = scales.nodes()
-    return grid.cell_volume * scales.dlog * t ** (-grid.n)
-
-
 def _cut_indices(scales: ScaleGrid, heights) -> np.ndarray:
     """Number of scale nodes strictly below each truncation height.
 
@@ -152,7 +147,7 @@ def _cone_sums(field: HalfSpaceField, alpha: float, entries: np.ndarray,
     entries: (K, ..., *spatial).
     """
     grid, scales = field.grid, field.scales
-    w = _scale_weights(grid, scales)
+    w = cone_weights(grid, scales)
     rows = w.reshape((-1,) + (1,) * (entries.ndim - 1)) * entries
     per_scale = per_scale_window_sum(grid, rows, alpha * scales.nodes())
     prefix = np.concatenate(
@@ -276,6 +271,18 @@ def a_fun(
     return a_fun_cuts(field, alpha, [h], trials=trials, rng=rng, force_mc=force_mc)[0]
 
 
+def _ball_sups(grid: SpatialGrid, stack: np.ndarray, radii) -> np.ndarray:
+    """Sup over the radius-radii[k] balls containing x of the mean of stack[k].
+
+    stack: (R, ..., *spatial), one radius per leading slice.  One windowed
+    sum gives every ball's mean, one windowed max the sup over the balls
+    that contain each point.
+    """
+    counts = window_count(grid, radii).reshape((-1,) + (1,) * (stack.ndim - 1))
+    means = per_scale_window_sum(grid, stack, radii) / counts
+    return per_scale_window_max(grid, means, radii)
+
+
 def c_fun(
     field: HalfSpaceField,
     q: float,
@@ -294,7 +301,7 @@ def c_fun(
     through one per_scale_window_sum of the stacked A(F|r)^q and one
     per_scale_window_max of the means.  Monte Carlo stderr is propagated
     to each point by the delta method, through the q-mean by the bound
-    window_sum(|term|) / count, and through the sup conservatively (max
+    mean(|term|) over the ball, and through the sup conservatively (max
     of the window's stderr); it rides in the same two window calls, and
     each point takes the stderr of the first radius attaining its sup.
     The bound holds under any correlation across x: every point shares
@@ -327,9 +334,7 @@ def c_fun(
         term = np.zeros_like(a)
         term[pos] = q * a[pos] ** (q - 1.0) * s[pos]
         terms.append(np.abs(term))
-    counts = window_count(grid, radii).reshape((-1, 1) + (1,) * grid.n)
-    means = per_scale_window_sum(grid, np.stack(terms, axis=1), radii) / counts
-    cands = per_scale_window_max(grid, means, radii)  # (R, 1 or 2, *spatial)
+    cands = _ball_sups(grid, np.stack(terms, axis=1), radii)  # (R, 1 or 2, *spatial)
     best = cands[:, 0].max(axis=0)
     values = best ** (1.0 / q)
     stderr = None
@@ -376,12 +381,9 @@ def _scalar_values(g) -> tuple[SpatialGrid, np.ndarray]:
 def maximal_fn(g: SampledFunction) -> FunctionalProfile:
     """Hardy-Littlewood maximal function over the dyadic ball family."""
     grid, mods = _scalar_values(g)
-    best = np.zeros(grid.shape)
-    for r in dyadic_radii(grid):
-        count = window_count(grid, r)
-        means = window_sum(grid, mods, r) / count
-        best = np.maximum(best, window_max(grid, means, r))
-    return FunctionalProfile("M", grid, best, {"radii": "dyadic"})
+    radii = dyadic_radii(grid)
+    best = _ball_sups(grid, np.broadcast_to(mods, radii.shape + grid.shape), radii)
+    return FunctionalProfile("M", grid, best.max(axis=0), {"radii": "dyadic"})
 
 
 _BMO_BLOCK_ELEMS = 1 << 16  # reals per gathered block of balls
@@ -515,16 +517,11 @@ def c2_box_profile(field: HalfSpaceField) -> FunctionalProfile:
     if field.space.dim != 1:
         raise ValueError("c2_box_profile expects a scalar field")
     grid, scales = field.grid, field.scales
-    sq = np.abs(field.values[..., 0]) ** 2
-    t = scales.nodes()
-    best = np.zeros(grid.shape)
     radii = dyadic_radii(grid)
-    for r, m in zip(radii, _cut_indices(scales, radii)):
-        if m == 0:
-            continue
-        count = window_count(grid, r)
-        inner = sq[:m].sum(axis=0) * scales.dlog
-        means = window_sum(grid, inner, r) / count
-        best = np.maximum(best, window_max(grid, means, r))
+    # prefix[m]: sum of the m lowest slices, so a radius with no node below it gets 0
+    prefix = np.concatenate([np.zeros((1,) + grid.shape),
+                             np.cumsum(np.abs(field.values[..., 0]) ** 2, axis=0)])
+    inner = prefix[_cut_indices(scales, radii)] * scales.dlog
+    best = _ball_sups(grid, inner, radii).max(axis=0)
     return FunctionalProfile("C2box", grid, np.sqrt(best),
                              {"t_max": scales.t_max})

@@ -22,10 +22,11 @@ standard Gaussians z and forms S = z R.  The estimate is sqrt(E ||S||^2)
 with a delta-method standard error, the reduction the sweeps also use.
 
 The factor is computed from the atoms in the region's canonical order, so
-estimates are reproducible.  Paired comparisons factor the stacked matrix
-[M | (v - 1) * M] and share one draw between F and v*F, so defects of exact
-identities carry only the Monte Carlo noise of the difference, not of the
-two terms.
+estimates are reproducible.  Paired comparisons of F and v*F take both
+norms from the closed form where it exists; on Monte Carlo they factor the
+stacked matrix [M | (v - 1) * M] and share one draw between F and v*F, so
+defects of exact identities carry only the Monte Carlo noise of the
+difference, not of the two terms.
 
 Regions factor M by QR, never forming M^H M, so v == 1 defects are exactly
 0.  Cone sweeps (functionals) have no per-point M, only M^H M from window
@@ -73,11 +74,6 @@ class GaussEstimate:
             raise ValueError("estimate and stderr must be nonnegative")
         if self.exact and self.stderr != 0.0:
             raise ValueError("exact estimates carry zero stderr")
-
-
-def _atom_values(field: HalfSpaceField, region: Region) -> tuple[np.ndarray, np.ndarray]:
-    vals = region.restrict(field)
-    return vals, np.sqrt(region.weights)
 
 
 @functools.cache
@@ -137,6 +133,24 @@ def _closed_form_moment(space, trace, covariance):
     return _fold(var) + (math.pi / 2.0) * _fold(cross)
 
 
+def _region_moment(field: HalfSpaceField, region: Region, scale=None):
+    """E ||S||^2 over the region's atoms by _closed_form_moment, or None.
+
+    ``scale`` (one scalar per atom, optional) multiplies each atom's value:
+    the moment of scale * F, for which only |scale|^2 enters the covariance.
+    """
+    weights = region.weights if scale is None else region.weights * np.abs(scale) ** 2
+
+    def trace():
+        return (weights * _squared_norm2(region.restrict(field))).sum()
+
+    def covariance():
+        m = np.sqrt(weights)[:, None] * region.restrict(field)
+        return (m.T @ m.conj())[_triu(field.space.dim)]
+
+    return _closed_form_moment(field.space, trace, covariance)
+
+
 def _covariance_factor(m: np.ndarray) -> np.ndarray:
     """Upper-triangular R with R^H R = m^H m and a real nonnegative diagonal.
 
@@ -154,8 +168,7 @@ def _second_moments(field, region, trials, rng, multiplier=None):
     [M | (v - 1) * M] is factored, so one draw T gives S = T[:, :d] and
     S_v = S + T[:, d:] with their joint law; v == 1 makes S_v == S exactly.
     """
-    vals, wsqrt = _atom_values(field, region)
-    weighted = wsqrt[:, None] * vals
+    weighted = np.sqrt(region.weights)[:, None] * region.restrict(field)
     if multiplier is not None:
         weighted = np.concatenate([weighted, (multiplier - 1.0)[:, None] * weighted], axis=1)
     factor = _covariance_factor(weighted)
@@ -197,18 +210,9 @@ def gauss_norm(
     """
     if region.size == 0:
         return GaussEstimate(0.0, 0.0, 0, True)
-    if not force_mc:
-        def trace():
-            return (region.weights * _squared_norm2(region.restrict(field))).sum()
-
-        def covariance():
-            vals, wsqrt = _atom_values(field, region)
-            m = wsqrt[:, None] * vals
-            return (m.T @ m.conj())[_triu(field.space.dim)]
-
-        moment = _closed_form_moment(field.space, trace, covariance)
-        if moment is not None:
-            return GaussEstimate(math.sqrt(float(moment)), 0.0, 0, True)
+    moment = None if force_mc else _region_moment(field, region)
+    if moment is not None:
+        return GaussEstimate(math.sqrt(float(moment)), 0.0, 0, True)
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
     value, stderr = _estimate_from_moments(_second_moments(field, region, trials, rng))
@@ -223,12 +227,13 @@ def paired_multiplier_defect(
     rng: RandomSource | None = None,
     force_mc: bool = False,
 ) -> tuple[float, float]:
-    """(gauss_norm(g*F) - gauss_norm(F), stderr) with common random numbers.
+    """(gauss_norm(v*F) - gauss_norm(F), stderr) for a scalar ``multiplier`` v.
 
-    ``multiplier`` is a scalar field over (K, *spatial).  On the exact
-    Hilbert path the stderr is zero.  On the Monte Carlo path both norms
-    come from one draw of the joint covariance factor of F and g*F
-    (min(A, 2d) complex Gaussians per trial).
+    v is a field over (K, *spatial).  Wherever gauss_norm is exact (l^2,
+    l^1_d, and every target at d = 1) both norms come from the closed form
+    and the stderr is 0.  Otherwise, and under ``force_mc``, both come from
+    one draw of the joint covariance factor of F and v*F (min(A, 2d)
+    complex Gaussians per trial), so the stderr is that of the difference.
     """
     expect = (field.scales.K,) + field.grid.shape
     multiplier = np.asarray(multiplier)
@@ -238,11 +243,10 @@ def paired_multiplier_defect(
         return 0.0, 0.0
     flat = multiplier.reshape(field.scales.K, field.grid.size)
     g_atoms = flat[region.scale_idx, region.spatial_idx]
-    if field.space.is_hilbert and not force_mc:
-        sq = _squared_norm2(region.restrict(field))
-        base = float((region.weights * sq).sum())
-        scaled = float((region.weights * np.abs(g_atoms) ** 2 * sq).sum())
-        return math.sqrt(scaled) - math.sqrt(base), 0.0
+    base = None if force_mc else _region_moment(field, region)
+    if base is not None:
+        scaled = _region_moment(field, region, scale=g_atoms)
+        return math.sqrt(float(scaled)) - math.sqrt(float(base)), 0.0
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
     m, mb = _second_moments(field, region, trials, rng, multiplier=g_atoms)

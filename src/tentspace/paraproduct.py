@@ -38,7 +38,6 @@ class ParaproductResult:
     field: SampledFunction
     scale_norms: np.ndarray  # dlog-weighted L^2 size of each slice
     truncated: bool
-    pairing: complex | None = None
     tail_fine: float = 0.0  # scale_norms[0] / peak: the t_min end
     tail_coarse: float = 0.0  # scale_norms[-1] / peak: the t_max end
 

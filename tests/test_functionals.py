@@ -10,6 +10,7 @@ from tentspace.field import (
     ScaleGrid,
     SpatialGrid,
     ball_at,
+    box_region,
     cone_region,
     dyadic_radii,
 )
@@ -354,6 +355,58 @@ def test_c_fun_c2_box_cross_check_band():
     allr = np.concatenate(ratios)
     # fixed-constant equivalence band, logged; geometry keeps it O(1)
     assert allr.min() > 0.05 and allr.max() < 20.0
+
+
+def _maximal_per_radius(g):
+    """maximal_fn with one window_sum and window_max per dyadic radius."""
+    grid, mods = g.grid, np.abs(g.values[..., 0])
+    best = np.zeros(grid.shape)
+    for r in dyadic_radii(grid):
+        means = window_sum(grid, mods, r) / window_count(grid, r)
+        best = np.maximum(best, window_max(grid, means, r))
+    return best
+
+
+def _c2_box_per_radius(field):
+    """c2_box_profile with one window_sum and window_max per dyadic radius."""
+    grid, scales = field.grid, field.scales
+    sq = np.abs(field.values[..., 0]) ** 2
+    best = np.zeros(grid.shape)
+    for r in dyadic_radii(grid):
+        m = int(np.count_nonzero(scales.nodes() < r))
+        if m:
+            inner = sq[:m].sum(axis=0) * scales.dlog
+            means = window_sum(grid, inner, r) / window_count(grid, r)
+            best = np.maximum(best, window_max(grid, means, r))
+    return np.sqrt(best)
+
+
+@pytest.mark.parametrize("n, N, K", [(1, 128, 12), (2, 16, 8)])
+def test_maximal_and_box_match_per_radius_loop_and_ball_oracle(n, N, K):
+    # t_min = 2 dy: the smallest radius has no scale node below it
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, K)
+    f = random_field(ell(2, 1), 41, grid, scales)
+    g = SampledFunction(grid, ell(2, 1), f.values[-1])
+    m = maximal_fn(g).values
+    box = c2_box_profile(f).values
+    assert np.array_equal(m, _maximal_per_radius(g))
+    assert np.array_equal(box, _c2_box_per_radius(f))
+    # explicit balls: every dyadic ball's mean spread over its members
+    mods = np.abs(g.values[..., 0]).reshape(-1)
+    sq = (np.abs(f.values[..., 0]) ** 2).reshape(scales.K, -1)
+    best_m, best_box = np.zeros(grid.size), np.zeros(grid.size)
+    for r in dyadic_radii(grid):
+        for idx in np.ndindex(grid.shape):
+            ball = ball_at(grid, grid.coords()[idx], r)
+            members = (grid.point_distance(ball.center) < r).reshape(-1)
+            cyl = box_region(grid, scales, ball)
+            mean_sq = ((cyl.weights * sq[cyl.scale_idx, cyl.spatial_idx]).sum()
+                       / (members.sum() * grid.cell_volume))
+            best_m[members] = np.maximum(best_m[members], mods[members].mean())
+            best_box[members] = np.maximum(best_box[members], mean_sq)
+    np.testing.assert_allclose(m.reshape(-1), best_m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(box.reshape(-1), np.sqrt(best_box), rtol=1e-12, atol=0)
 
 
 def test_n_fun_constant_and_indicator():

@@ -206,9 +206,31 @@ def test_unimodular_invariance():
     for case in range(20):
         f = random_field(ell(1, 3), 300 + case)
         defect, stderr = unimodular_invariance_defect(
-            f, r, phases, trials=1000, rng=RandomSource(case), details=True
+            f, r, phases, trials=1000, rng=RandomSource(case), force_mc=True, details=True
         )
         assert defect <= max(3 * stderr, 1e-12)
+
+
+@pytest.mark.parametrize("q,d", [(1.0, 2), (1.0, 3), (4.0, 1)])
+def test_paired_defects_are_exact_where_gauss_norm_is(q, d):
+    # l^1_d and d = 1: both norms come from the closed form, stderr 0
+    seed = 800 + 10 * d + int(q)
+    gen = np.random.default_rng(seed)
+    f = random_field(ell(q, d), seed)
+    g = gen.uniform(0.0, 1.5, size=(SCALES.K,) + GRID.shape)
+    phases = np.exp(2j * math.pi * gen.uniform(size=g.shape))
+    for r in (random_region(seed), small_region(max(d - 1, 1), seed)):
+        base = gauss_norm(f, r)
+        for v in (g, phases):
+            vf = HalfSpaceField(GRID, SCALES, f.space, v[..., None] * f.values)
+            scaled = gauss_norm(vf, r)
+            assert base.exact and scaled.exact
+            defect, stderr = paired_multiplier_defect(f, r, v, trials=2000,
+                                                      rng=RandomSource(seed))
+            assert stderr == 0.0
+            assert defect == pytest.approx(scaled.value - base.value, rel=0, abs=1e-12)
+        defect, stderr = unimodular_invariance_defect(f, r, phases, details=True)
+        assert stderr == 0.0 and defect <= 1e-12
 
 
 def test_unimodular_rejects_non_unimodular():
