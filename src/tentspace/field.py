@@ -10,6 +10,7 @@ dy^n * dlog(t) * t_k^(-n).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -98,13 +99,17 @@ class SpatialGrid:
 
         When x lies within 1e-12 L of a grid point in every coordinate, the
         distances come from the index-offset table, so boundary comparisons
-        match the sliding-window fast paths bit for bit.
+        match the sliding-window fast paths bit for bit.  The snap test runs
+        on Python floats; round, like np.round, rounds half to even.
         """
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.round(x_arr / self.spacing).astype(int)
-        if (np.abs(x_arr - idx * self.spacing) <= 1e-12 * self.L).all():
-            axes = tuple(range(self.n))
-            return np.roll(self.offset_distance(), tuple(idx[: self.n]), axis=axes)
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        h, tol = self.spacing, 1e-12 * self.L
+        if all(math.isfinite(v) for v in xs):
+            idx = [round(v / h) for v in xs]
+            if all(abs(v - i * h) <= tol for v, i in zip(xs, idx)):
+                # wrapped here: an index past int64 would overflow np.roll's cast
+                shift = tuple(i % self.N for i in idx[: self.n])
+                return np.roll(self.offset_distance(), shift, axis=tuple(range(self.n)))
         return torus_dist(self, self.coords(), x)
 
 
@@ -147,10 +152,18 @@ class ScaleGrid:
         return math.log(self.t_max / self.t_min) / (self.K - 1)
 
     def nodes(self) -> np.ndarray:
-        return self.t_min * np.exp(self.dlog * np.arange(self.K))
+        """The K scale nodes, built once per scale grid and shared: read-only."""
+        return _nodes(self)
 
     def refined(self, factor: int = 2) -> "ScaleGrid":
         return ScaleGrid(self.t_min, self.t_max, factor * (self.K - 1) + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _nodes(scales: ScaleGrid) -> np.ndarray:
+    t = scales.t_min * np.exp(scales.dlog * np.arange(scales.K))
+    t.flags.writeable = False
+    return t
 
 
 @dataclass
@@ -240,8 +253,25 @@ class Region:
 
     Atoms are stored flat in canonical (scale, spatial) order so that
     Monte Carlo estimates over the atoms are independent of construction
-    order.  Atoms that arrive in that order (every mask-built region, since
-    np.flatnonzero is row-major) are kept as they are, without a sort.
+    order.  Each atom also has one canonical flat index into the
+    (K, *grid.shape) half-space, ``atoms = scale_idx * grid.size +
+    spatial_idx``, which is the sort key of that order; ``restrict`` and
+    every per-atom gather use it.
+
+    There are two ways to build a region, with the same result:
+
+    - ``Region(grid, scales, spatial_idx, scale_idx, weights)`` checks its
+      arrays atom by atom: one shape, weights > 0, spatial indices in
+      [0, grid.size) and scale indices in [0, K).  Atoms that are not in
+      canonical order are sorted; atoms that are (the key is nondecreasing)
+      are kept as they are.
+    - ``cone_region`` and ``box_region`` build from a (K, *grid.shape)
+      membership mask and one weight per scale (``_region_from_mask``), and
+      check only those: the mask's shape and K finite weights > 0.  That
+      implies every per-atom check: ``np.flatnonzero`` of the mask returns
+      flat indices that are in [0, K grid.size) and ascending, so their
+      quotient and remainder by grid.size are in-range indices in canonical
+      order, and each atom's weight is one of the K checked ones.
     """
 
     grid: SpatialGrid
@@ -249,6 +279,7 @@ class Region:
     spatial_idx: np.ndarray  # (A,) flattened spatial index
     scale_idx: np.ndarray  # (A,)
     weights: np.ndarray  # (A,) strictly positive
+    atoms: np.ndarray = dataclasses.field(init=False, repr=False)  # (A,) flat index
 
     def __post_init__(self):
         self.spatial_idx = np.asarray(self.spatial_idx, dtype=np.int64)
@@ -270,21 +301,31 @@ class Region:
             self.spatial_idx = self.spatial_idx[order]
             self.scale_idx = self.scale_idx[order]
             self.weights = self.weights[order]
+            key = key[order]
         if atoms:  # scale_idx is sorted now
             _check_index("scale", self.scale_idx[0], self.scale_idx[-1], self.scales.K)
+        self.atoms = key
 
     @property
     def size(self) -> int:
-        return int(self.spatial_idx.size)
+        return int(self.atoms.size)
 
     def measure(self) -> float:
         """Total quadrature weight of the region."""
         return float(self.weights.sum())
 
     def restrict(self, field: HalfSpaceField) -> np.ndarray:
-        """Field values on the atoms, shape (A, d)."""
-        flat = field.values.reshape(field.scales.K, field.grid.size, field.space.dim)
-        return flat[self.scale_idx, self.spatial_idx, :]
+        """Field values on the atoms, shape (A, d): one take on the flat index.
+
+        The field must live on the region's grid and scale grid.
+        """
+        if field.grid != self.grid:
+            raise ValueError(f"field grid {field.grid} does not match "
+                             f"region grid {self.grid}")
+        if field.scales != self.scales:
+            raise ValueError(f"field scales {field.scales} do not match "
+                             f"region scales {self.scales}")
+        return field.values.reshape(-1, field.space.dim).take(self.atoms, axis=0)
 
 
 def _check_index(name: str, lo, hi, stop: int) -> None:
@@ -295,17 +336,35 @@ def _check_index(name: str, lo, hi, stop: int) -> None:
 
 
 def _region_from_mask(grid, scales, mask, weights_per_scale) -> Region:
-    k_idx, flat_idx = np.divmod(np.flatnonzero(mask), grid.size)
-    w = weights_per_scale[k_idx]
-    if k_idx.size == 0:
-        return Region(grid, scales, np.empty(0, dtype=np.int64),
-                      np.empty(0, dtype=np.int64), np.empty(0, dtype=float))
-    return Region(grid, scales, flat_idx, k_idx, w)
+    """Region of the atoms set in a (K, *grid.shape) mask, one weight per scale.
+
+    The mask path of the Region docstring: O(K) checks, no per-atom ones.
+    """
+    want = (scales.K,) + grid.shape
+    if mask.shape != want:
+        raise ValueError(f"region mask shape {mask.shape} != {want}")
+    if weights_per_scale.shape != (scales.K,) or not (
+            np.isfinite(weights_per_scale) & (weights_per_scale > 0)).all():
+        raise ValueError("need K finite, strictly positive per-scale weights")
+    region = object.__new__(Region)
+    region.grid, region.scales = grid, scales
+    region.atoms = np.flatnonzero(mask)
+    # divmod by hand: the ufunc takes about twice as long on int64
+    region.scale_idx = region.atoms // grid.size
+    region.spatial_idx = region.atoms - region.scale_idx * grid.size
+    region.weights = weights_per_scale.take(region.scale_idx)
+    return region
 
 
+@functools.lru_cache(maxsize=16)
 def cone_weights(grid: SpatialGrid, scales: ScaleGrid) -> np.ndarray:
-    """Per-atom weight of dy dt / t^(n+1) at each scale: dy^n dlog t t^-n."""
-    return grid.cell_volume * scales.dlog * scales.nodes() ** (-grid.n)
+    """Per-atom weight of dy dt / t^(n+1) at each scale: dy^n dlog t t^-n.
+
+    Built once per (grid, scales) and shared: the array is read-only.
+    """
+    w = grid.cell_volume * scales.dlog * scales.nodes() ** (-grid.n)
+    w.flags.writeable = False
+    return w
 
 
 def cone_region(grid: SpatialGrid, scales: ScaleGrid, x, alpha: float,

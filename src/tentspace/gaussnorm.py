@@ -133,22 +133,20 @@ def _closed_form_moment(space, trace, covariance):
     return _fold(var) + (math.pi / 2.0) * _fold(cross)
 
 
-def _region_moment(field: HalfSpaceField, region: Region, scale=None):
-    """E ||S||^2 over the region's atoms by _closed_form_moment, or None.
+def _region_moment(space, values, weights):
+    """E ||S||^2 over atoms ``values`` (A, d) weighted by ``weights`` (A,).
 
-    ``scale`` (one scalar per atom, optional) multiplies each atom's value:
-    the moment of scale * F, for which only |scale|^2 enters the covariance.
+    _closed_form_moment on the atoms' covariance, or None where it has none.
     """
-    weights = region.weights if scale is None else region.weights * np.abs(scale) ** 2
 
     def trace():
-        return (weights * _squared_norm2(region.restrict(field))).sum()
+        return (weights * _squared_norm2(values)).sum()
 
     def covariance():
-        m = np.sqrt(weights)[:, None] * region.restrict(field)
-        return (m.T @ m.conj())[_triu(field.space.dim)]
+        m = np.sqrt(weights)[:, None] * values
+        return (m.T @ m.conj())[_triu(space.dim)]
 
-    return _closed_form_moment(field.space, trace, covariance)
+    return _closed_form_moment(space, trace, covariance)
 
 
 def _covariance_factor(m: np.ndarray) -> np.ndarray:
@@ -161,37 +159,43 @@ def _covariance_factor(m: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.angle(np.diagonal(r)))[:, None] * r
 
 
-def _second_moments(field, region, trials, rng, multiplier=None):
+def _second_moments(space, values, weights, trials, rng, multiplier=None):
     """Per-trial squared norms of the Gaussian sum, drawn from its covariance.
 
+    ``values`` (A, d) are the atoms and ``weights`` (A,) their weights.
     With ``multiplier`` v (one scalar per atom) the stacked matrix
     [M | (v - 1) * M] is factored, so one draw T gives S = T[:, :d] and
     S_v = S + T[:, d:] with their joint law; v == 1 makes S_v == S exactly.
     """
-    weighted = np.sqrt(region.weights)[:, None] * region.restrict(field)
+    weighted = np.sqrt(weights)[:, None] * values
     if multiplier is not None:
         weighted = np.concatenate([weighted, (multiplier - 1.0)[:, None] * weighted], axis=1)
     factor = _covariance_factor(weighted)
     z = complex_gaussian_array(rng if rng is not None else RandomSource(0),
                                (trials, factor.shape[0]))
     t = z @ factor
-    s = t[:, :field.space.dim]
-    m = norm(field.space, s) ** 2
+    s = t[:, :space.dim]
+    m = norm(space, s) ** 2
     if multiplier is None:
         return m
-    return m, norm(field.space, s + t[:, field.space.dim:]) ** 2
+    return m, norm(space, s + t[:, space.dim:]) ** 2
 
 
 def _estimate_from_moments(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(E m) and its delta-method stderr along the last (trial) axis.
 
-    A row's result does not depend on the other rows reduced with it.
+    A row's result does not depend on the other rows reduced with it.  The
+    variance reuses the mean, in the order m.var(ddof=1) takes, so the bits
+    are the same.
     """
     trials = m.shape[-1]
     mean = m.mean(axis=-1)
     value = np.sqrt(mean)
     safe = np.where(mean > 0.0, value, np.inf)  # mean 0: every trial and var 0
-    return value, np.sqrt(m.var(axis=-1, ddof=1) / trials) / (2.0 * safe)
+    dev = m - mean[..., None]
+    dev *= dev
+    var = dev.sum(axis=-1) / (trials - 1)
+    return value, np.sqrt(var / trials) / (2.0 * safe)
 
 
 def gauss_norm(
@@ -208,14 +212,16 @@ def gauss_norm(
     ``trials`` draws.  Each draw is min(A, d) complex Gaussians times the
     region's covariance factor, not one Gaussian per atom.
     """
+    values = region.restrict(field)
     if region.size == 0:
         return GaussEstimate(0.0, 0.0, 0, True)
-    moment = None if force_mc else _region_moment(field, region)
+    moment = None if force_mc else _region_moment(field.space, values, region.weights)
     if moment is not None:
         return GaussEstimate(math.sqrt(float(moment)), 0.0, 0, True)
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
-    value, stderr = _estimate_from_moments(_second_moments(field, region, trials, rng))
+    m = _second_moments(field.space, values, region.weights, trials, rng)
+    value, stderr = _estimate_from_moments(m)
     return GaussEstimate(float(value), float(stderr), trials, False)
 
 
@@ -235,21 +241,30 @@ def paired_multiplier_defect(
     one draw of the joint covariance factor of F and v*F (min(A, 2d)
     complex Gaussians per trial), so the stderr is that of the difference.
     """
+    values, g_atoms = _paired_atoms(field, region, np.asarray(multiplier), "multiplier")
+    return _paired_defect(field.space, region, values, g_atoms, trials, rng, force_mc)
+
+
+def _paired_atoms(field, region, v, name):
+    """The region's atoms of F, (A, d), and of the scalar field v, (A,)."""
     expect = (field.scales.K,) + field.grid.shape
-    multiplier = np.asarray(multiplier)
-    if multiplier.shape != expect:
-        raise ValueError(f"multiplier shape {multiplier.shape} != {expect}")
+    if v.shape != expect:
+        raise ValueError(f"{name} shape {v.shape} != {expect}")
+    return region.restrict(field), v.reshape(-1).take(region.atoms)
+
+
+def _paired_defect(space, region, values, g_atoms, trials, rng, force_mc):
+    """paired_multiplier_defect on the gathered atoms and per-atom multipliers."""
     if region.size == 0:
         return 0.0, 0.0
-    flat = multiplier.reshape(field.scales.K, field.grid.size)
-    g_atoms = flat[region.scale_idx, region.spatial_idx]
-    base = None if force_mc else _region_moment(field, region)
+    weights = region.weights
+    base = None if force_mc else _region_moment(space, values, weights)
     if base is not None:
-        scaled = _region_moment(field, region, scale=g_atoms)
+        scaled = _region_moment(space, values, weights * np.abs(g_atoms) ** 2)
         return math.sqrt(float(scaled)) - math.sqrt(float(base)), 0.0
     if trials < 2:
         raise ValueError("Monte Carlo path needs at least two trials")
-    m, mb = _second_moments(field, region, trials, rng, multiplier=g_atoms)
+    m, mb = _second_moments(space, values, weights, trials, rng, multiplier=g_atoms)
     (est, est_b), _ = _estimate_from_moments(np.stack([m, mb]))
     if est == 0.0 and est_b == 0.0:
         return 0.0, 0.0
@@ -268,17 +283,12 @@ def unimodular_invariance_defect(
     details: bool = False,
 ):
     """|gauss_norm(v*F) - gauss_norm(F)| for a unimodular scalar field v."""
-    expect = (field.scales.K,) + field.grid.shape
-    phases = np.asarray(phases, dtype=complex)
-    if phases.shape != expect:
-        raise ValueError(f"phase field shape {phases.shape} != {expect}")
-    flat = np.abs(phases).reshape(field.scales.K, field.grid.size)
-    mods = flat[region.scale_idx, region.spatial_idx]
-    if region.size and np.abs(mods - 1.0).max() > 1e-12:
+    values, g_atoms = _paired_atoms(field, region, np.asarray(phases, dtype=complex),
+                                    "phase field")
+    if region.size and np.abs(np.abs(g_atoms) - 1.0).max() > 1e-12:
         raise ValueError("phase field is not unimodular on the region")
-    defect, stderr = paired_multiplier_defect(
-        field, region, phases, trials=trials, rng=rng, force_mc=force_mc
-    )
+    defect, stderr = _paired_defect(field.space, region, values, g_atoms,
+                                    trials, rng, force_mc)
     return (abs(defect), stderr) if details else abs(defect)
 
 

@@ -279,3 +279,111 @@ def test_point_distance_on_grid_tolerance_is_1e12_L(n):
             diff = np.minimum(diff, grid.L - diff)
             want = diff if n == 1 else np.sqrt((diff * diff).sum(axis=-1))
             assert np.array_equal(dist, want)
+
+
+def _two_index_gather(region, field):
+    """The per-(scale, spatial) gather that the flat atom index replaced."""
+    flat = field.values.reshape(field.scales.K, field.grid.size, field.space.dim)
+    return flat[region.scale_idx, region.spatial_idx, :]
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_restrict_through_atoms_matches_two_index_gather(n, N, d):
+    from tentspace.field import HalfSpaceField, Region
+    from tentspace.space import RandomSource, complex_gaussian_array, ell
+
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(0.5 * grid.spacing, 0.25, 8)
+    shape = (scales.K,) + grid.shape + (d,)
+    field = HalfSpaceField(grid, scales, ell(1, d),
+                           complex_gaussian_array(RandomSource(d).generator(), shape))
+    dy, L = grid.spacing, grid.L
+    # wrapping on-grid centres, then an off-grid one (the torus_dist path)
+    centres = [0.0, L - dy, -dy, L + 2 * dy, 0.3 + 0.37 * dy]
+    if n == 2:
+        centres = [(0.0, L - dy), (-dy, L + 2 * dy), (0.3 + 0.37 * dy, 0.6)]
+    regions = [cone_region(grid, scales, 0.3, 1.0, 0.5 * scales.t_min)]  # empty
+    for x in centres:
+        regions += [cone_region(grid, scales, x, 1.0, 0.2),
+                    box_region(grid, scales, ball_at(grid, x, 0.2))]
+    gen = np.random.default_rng(n * 10 + d)
+    flat = gen.choice(scales.K * grid.size, size=40, replace=False)  # unsorted
+    regions.append(Region(grid, scales, flat % grid.size, flat // grid.size,
+                          gen.uniform(0.5, 2.0, size=40)))
+    assert regions[0].size == 0 and all(r.size for r in regions[1:])
+    for r in regions:
+        assert r.atoms.dtype == r.scale_idx.dtype == r.spatial_idx.dtype == np.int64
+        assert np.array_equal(r.atoms, r.scale_idx * grid.size + r.spatial_idx)
+        got, want = r.restrict(field), _two_index_gather(r, field)
+        assert got.shape == want.shape == (r.size, d)
+        assert np.array_equal(got, want)
+
+
+def test_restrict_rejects_a_field_on_another_grid_or_scales():
+    from tentspace.field import HalfSpaceField
+    from tentspace.space import ell
+
+    grid, scales = SpatialGrid(1, 64), ScaleGrid(0.01, 0.25, 12)
+    cone = cone_region(grid, scales, 0.3, 1.0, 0.2)
+    other_grid = SpatialGrid(1, 128)
+    with pytest.raises(ValueError, match=r"grid.*N=128.*region grid.*N=64"):
+        cone.restrict(HalfSpaceField.zeros(other_grid, scales, ell(2, 2)))
+    with pytest.raises(ValueError, match=r"scales.*K=20.*region scales.*K=12"):
+        cone.restrict(HalfSpaceField.zeros(grid, ScaleGrid(0.01, 0.25, 20), ell(2, 2)))
+
+
+def test_region_from_mask_checks_mask_shape_and_per_scale_weights():
+    from tentspace.field import _region_from_mask
+
+    grid, scales = SpatialGrid(2, 8), ScaleGrid(0.05, 0.25, 4)
+    mask = np.zeros((scales.K,) + grid.shape, dtype=bool)
+    mask[1, 2, 3] = mask[3, 0, 0] = True
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    r = _region_from_mask(grid, scales, mask, w)
+    assert list(r.atoms) == [1 * 64 + 2 * 8 + 3, 3 * 64]
+    assert list(r.scale_idx) == [1, 3] and list(r.spatial_idx) == [19, 0]
+    assert list(r.weights) == [2.0, 4.0]
+    for bad_mask in (mask.reshape(scales.K, -1), mask[:3], mask[..., :4]):
+        with pytest.raises(ValueError, match="mask shape"):
+            _region_from_mask(grid, scales, bad_mask, w)
+    # a bad weight is rejected even at a scale with no atoms
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="per-scale weights"):
+            _region_from_mask(grid, scales, mask, np.array([1.0, 2.0, bad, 4.0]))
+    with pytest.raises(ValueError, match="per-scale weights"):
+        _region_from_mask(grid, scales, mask, w[:3])
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_scale_tables_are_cached_read_only_and_exact(n, N):
+    from tentspace.field import cone_weights
+
+    grid = SpatialGrid(n, N)
+    scales = ScaleGrid(2.0 * grid.spacing, 0.25, 12)
+    t = scales.nodes()
+    assert t is scales.nodes() and t is ScaleGrid(2.0 * grid.spacing, 0.25, 12).nodes()
+    assert np.array_equal(t, scales.t_min * np.exp(scales.dlog * np.arange(scales.K)))
+    w = cone_weights(grid, scales)
+    assert w is cone_weights(grid, scales)
+    assert np.array_equal(w, grid.cell_volume * scales.dlog * t ** (-n))
+    for table in (t, w):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_distance_snaps_grid_points_beyond_int64(n):
+    # 1e300 is a multiple of the period 2, so it is the grid point 0; its
+    # index overflows int64, which once sent it to torus_dist (all zeros)
+    import warnings
+
+    grid = SpatialGrid(n, 8, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e300, -1e300):
+            dist = grid.point_distance(x if n == 1 else (x, 0.0))
+            assert np.array_equal(dist, grid.offset_distance())

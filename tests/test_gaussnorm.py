@@ -14,13 +14,22 @@ from tentspace.field import (
 )
 from tentspace.gaussnorm import (
     _closed_form_moment,
+    _estimate_from_moments,
     _hyp2f1_agm,
     duality_defect,
     gauss_norm,
     paired_multiplier_defect,
     unimodular_invariance_defect,
 )
-from tentspace.space import RandomSource, complex_gaussian_array, dual, ell, norm
+from tentspace.space import (
+    RandomSource,
+    _squared_norm2,
+    complex_gaussian_array,
+    dual,
+    ell,
+    norm,
+    pair,
+)
 
 GRID = SpatialGrid(1, 64)
 SCALES = ScaleGrid(0.01, 0.25, 8)
@@ -350,3 +359,147 @@ def test_agm_hyp2f1_matches_scipy():
     # at x = 1 the AGM does not converge; the value is 4/pi
     assert _hyp2f1_agm(np.ones(3)) == pytest.approx(np.full(3, 4.0 / math.pi), rel=1e-13)
 
+
+
+def _two_index_gather(values, region):
+    """Per-atom values by (scale, spatial) index, without the flat atom index."""
+    flat = values.reshape(region.scales.K, region.grid.size, -1)
+    return flat[region.scale_idx, region.spatial_idx]
+
+
+def _reference_estimate(m):
+    """sqrt(E m) and its delta-method stderr with numpy's own ddof=1 variance."""
+    mean = m.mean(axis=-1)
+    value = np.sqrt(mean)
+    safe = np.where(mean > 0.0, value, np.inf)
+    return value, np.sqrt(m.var(axis=-1, ddof=1) / m.shape[-1]) / (2.0 * safe)
+
+
+def _reference_moment(space, vals, w):
+    def covariance():
+        m = np.sqrt(w)[:, None] * vals
+        return (m.T @ m.conj())[np.triu_indices(space.dim)]
+
+    return _closed_form_moment(space, lambda: (w * _squared_norm2(vals)).sum(), covariance)
+
+
+def _reference_draws(space, vals, w, trials, seed, v=None):
+    """Squared norms of the draws z R, R the phase-fixed QR factor of sqrt(w) F."""
+    weighted = np.sqrt(w)[:, None] * vals
+    if v is not None:
+        weighted = np.concatenate([weighted, (v - 1.0)[:, None] * weighted], axis=1)
+    r = np.linalg.qr(weighted, mode="r")
+    r = np.exp(-1j * np.angle(np.diagonal(r)))[:, None] * r
+    t = complex_gaussian_array(RandomSource(seed), (trials, r.shape[0])) @ r
+    s = t[:, :space.dim]
+    m = norm(space, s) ** 2
+    return m if v is None else (m, norm(space, s + t[:, space.dim:]) ** 2)
+
+
+def _reference_gauss_norm(field, region, trials, seed, force_mc):
+    vals = _two_index_gather(field.values, region)
+    moment = None if force_mc else _reference_moment(field.space, vals, region.weights)
+    if moment is not None:
+        return math.sqrt(float(moment)), 0.0
+    value, stderr = _reference_estimate(
+        _reference_draws(field.space, vals, region.weights, trials, seed))
+    return float(value), float(stderr)
+
+
+def _reference_paired(field, region, v, trials, seed, force_mc):
+    vals = _two_index_gather(field.values, region)
+    g = _two_index_gather(v, region)[:, 0]
+    w = region.weights
+    base = None if force_mc else _reference_moment(field.space, vals, w)
+    if base is not None:
+        scaled = _reference_moment(field.space, vals, w * np.abs(g) ** 2)
+        return math.sqrt(float(scaled)) - math.sqrt(float(base)), 0.0
+    m, mb = _reference_draws(field.space, vals, w, trials, seed, v=g)
+    (est, est_b), _ = _reference_estimate(np.stack([m, mb]))
+    stderr = math.sqrt(float((mb - m).var(ddof=1)) / trials) / (2.0 * max(est, est_b))
+    return float(est_b - est), stderr
+
+
+@pytest.mark.parametrize("q,d", [(2.0, 3), (1.0, 3), ("inf", 3), (4.0, 2), (1.0, 8), ("inf", 8)])
+def test_gauss_norm_and_defects_match_a_two_index_gather_reference(q, d):
+    seed = 900 + d
+    gen = np.random.default_rng(seed)
+    f = random_field(ell(q, d), seed)
+    g = random_field(dual(ell(q, d)), seed + 1)
+    v = gen.uniform(0.0, 1.5, size=(SCALES.K,) + GRID.shape)
+    phases = np.exp(2j * math.pi * gen.uniform(size=v.shape))
+    regions = [random_region(seed), small_region(max(d - 1, 1), seed),
+               box_region(GRID, SCALES, ball_at(GRID, 0.95, 0.2))]
+    for r in regions:
+        for force_mc in (False, True):
+            est = gauss_norm(f, r, trials=500, rng=RandomSource(seed), force_mc=force_mc)
+            assert (est.value, est.stderr) == _reference_gauss_norm(f, r, 500, seed, force_mc)
+            for mult in (v, phases):
+                got = paired_multiplier_defect(f, r, mult, trials=500,
+                                               rng=RandomSource(seed), force_mc=force_mc)
+                assert got == _reference_paired(f, r, mult, 500, seed, force_mc)
+            defect, stderr = unimodular_invariance_defect(
+                f, r, phases, trials=500, rng=RandomSource(seed), force_mc=force_mc,
+                details=True)
+            want, want_err = _reference_paired(f, r, phases, 500, seed, force_mc)
+            assert (defect, stderr) == (abs(want), want_err)
+        fv, gv = _two_index_gather(f.values, r), _two_index_gather(g.values, r)
+        det = duality_defect(f, g, r, trials=500, details=True)
+        assert det.integral == float((r.weights * np.abs(pair(fv, gv))).sum())
+
+
+@pytest.mark.parametrize("shape", [(2000,), (2, 2000), (5, 64), (3, 7, 33), (1, 2)])
+def test_estimate_reuses_the_mean_bit_for_bit(shape):
+    m = np.random.default_rng(len(shape)).exponential(size=shape) * 3.7
+    m[..., 0] = 0.0
+    for rows in (m, np.zeros(shape)):
+        got, want = _estimate_from_moments(rows), _reference_estimate(rows)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("q,d", [("inf", 3), ("inf", 8), (1.0, 8)])
+def test_sweep_stderr_is_unchanged_by_the_variance_reuse(q, d, monkeypatch):
+    from tentspace import functionals
+    from tentspace.functionals import a_fun_cuts
+
+    grid, scales = SpatialGrid(1, 32), ScaleGrid(0.04, 0.25, 6)
+    f = random_field(ell(q, d), 70 + d, grid=grid, scales=scales)
+
+    def sweep():
+        return a_fun_cuts(f, 1.0, [0.1, None], trials=64, rng=RandomSource(d),
+                          force_mc=True)
+
+    got = sweep()
+    monkeypatch.setattr(functionals, "_estimate_from_moments", _reference_estimate)
+    want = sweep()
+    for a, b in zip(got, want):
+        assert a.stderr is not None
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize("other", ["grid", "scales"])
+def test_every_entry_point_rejects_a_field_off_the_region(other):
+    # a cone on N=64, K=8 with a field on N=128 or on K=20
+    grid, scales = (SpatialGrid(1, 128), SCALES) if other == "grid" else \
+        (GRID, ScaleGrid(0.01, 0.25, 20))
+    shape = (scales.K,) + grid.shape
+    ones = np.ones(shape, dtype=complex)
+    cone = cone_region(GRID, SCALES, 0.3, 1.0, 0.2)
+    empty = cone_region(GRID, SCALES, 0.3, 1.0, SCALES.t_min / 2)
+    match = r"grid.*N=128.*N=64" if other == "grid" else r"scales.*K=20.*K=8"
+    for q in (2.0, 1.0, "inf"):
+        f = random_field(ell(q, 3), 5, grid=grid, scales=scales)
+        g = random_field(dual(ell(q, 3)), 6, grid=grid, scales=scales)
+        calls = [
+            lambda r: gauss_norm(f, r, trials=50),
+            lambda r: gauss_norm(f, r, trials=50, force_mc=True),
+            lambda r: paired_multiplier_defect(f, r, 0.5 * ones, trials=50),
+            lambda r: paired_multiplier_defect(f, r, 0.5 * ones, trials=50, force_mc=True),
+            lambda r: unimodular_invariance_defect(f, r, ones, trials=50),
+            lambda r: duality_defect(f, g, r, trials=50),
+        ]
+        for call in calls:
+            for r in (cone, empty):
+                with pytest.raises(ValueError, match=match):
+                    call(r)
