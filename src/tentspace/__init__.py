@@ -73,15 +73,10 @@ from .paraproduct import ParaproductResult, lp_norm, pair_paraproduct, paraprodu
 from .space import (
     BanachSpace,
     RandomSource,
-    XVector,
-    draw_gaussians,
     dual,
     ell,
-    gauss_bound_scalars,
     norm,
     pair,
-    type_constant,
-    type_ratio,
 )
 
 __version__ = "0.1.0"

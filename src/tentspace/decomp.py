@@ -313,8 +313,8 @@ def stopping_time(
     A passed ``cq`` must be a C_q profile on the field's grid with this
     call's q and alpha.
     """
-    if rho <= 1.0:
-        raise ValueError("stopping threshold rho must exceed 1")
+    if not (rho > 1.0):  # NaN fails too
+        raise ValueError(f"stopping threshold rho must exceed 1, got {rho!r}")
     scales = field.scales
     nodes = scales.nodes()
     if cq is not None and (cq.kind != "Cq" or cq.grid != field.grid
@@ -429,9 +429,13 @@ def good_lambda_table(
     grid = field.grid
     beta = alpha + 10.0 if beta is None else beta
     wrap = beta * field.scales.t_max > grid.L / 2
-    a_narrow = a_fun(field, alpha, trials=trials, rng=rng, force_mc=force_mc)
+    # one sweep at alpha gives A and C_q, so they share their draws
+    radii = dyadic_radii(grid)
+    cuts = a_fun_cuts(field, alpha, [*radii, None], trials=trials, rng=rng,
+                      force_mc=force_mc)
+    a_narrow = cuts[-1]
     a_wide = a_fun(field, beta, trials=trials, rng=rng, force_mc=force_mc)
-    cq = c_fun(field, q, alpha, trials=trials, rng=rng, force_mc=force_mc)
+    cq = c_fun(field, q, alpha, radii=radii, a_profiles=cuts[:-1])
 
     rows = []
     fitted = {}

@@ -261,7 +261,7 @@ class Region:
     There are two ways to build a region, with the same result:
 
     - ``Region(grid, scales, spatial_idx, scale_idx, weights)`` checks its
-      arrays atom by atom: one shape, weights > 0, spatial indices in
+      arrays atom by atom: one shape, finite weights > 0, spatial indices in
       [0, grid.size) and scale indices in [0, K).  Atoms that are not in
       canonical order are sorted; atoms that are (the key is nondecreasing)
       are kept as they are.
@@ -287,8 +287,8 @@ class Region:
         self.weights = np.asarray(self.weights, dtype=float)
         if not (self.spatial_idx.shape == self.scale_idx.shape == self.weights.shape):
             raise ValueError("region index/weight arrays must share a shape")
-        if np.any(self.weights <= 0):
-            raise ValueError("region weights must be strictly positive")
+        if not (np.isfinite(self.weights) & (self.weights > 0)).all():
+            raise ValueError("region weights must be finite and strictly positive")
         atoms = self.spatial_idx.size
         # as unsigned, a negative index is huge: one max checks both ends
         if atoms and self.spatial_idx.view(np.uint64).max() >= self.grid.size:

@@ -70,7 +70,7 @@ class GaussEstimate:
     exact: bool
 
     def __post_init__(self):
-        if self.value < 0 or self.stderr < 0:
+        if not (self.value >= 0 and self.stderr >= 0):  # NaN fails too
             raise ValueError("estimate and stderr must be nonnegative")
         if self.exact and self.stderr != 0.0:
             raise ValueError("exact estimates carry zero stderr")

@@ -2,9 +2,8 @@
 
 The target of every sampled function in this library is an l^q space of a
 fixed small dimension.  This module provides the norm/duality algebra for
-those targets, reproducible random sources, complex Gaussian draws
-(normalized so E|g|^2 = 1), Gauss-bounds of scalar multiplier families and
-empirical type-q constants.
+those targets, reproducible random sources and complex Gaussian draws
+(normalized so E|g|^2 = 1).
 
 Norms reduce the short target axis one component at a time: each component
 is combined into one output array by an in-place np.add or np.maximum,
@@ -24,16 +23,11 @@ import numpy as np
 
 __all__ = [
     "BanachSpace",
-    "XVector",
     "RandomSource",
     "ell",
     "norm",
     "dual",
     "pair",
-    "draw_gaussians",
-    "gauss_bound_scalars",
-    "type_ratio",
-    "type_constant",
 ]
 
 
@@ -184,24 +178,6 @@ def pair(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class XVector:
-    """A single vector tagged with its space."""
-
-    space: BanachSpace
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.space.dim:
-            raise ValueError("entry count must equal space dimension")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=complex)
-
-    def norm(self) -> float:
-        return float(norm(self.space, self.array()))
-
-
-@dataclass(frozen=True)
 class RandomSource:
     """Reproducible random source keyed by (seed, stream).
 
@@ -228,15 +204,8 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RandomSource or Generator, got {type(rng)!r}")
 
 
-def draw_gaussians(rng, count: int) -> np.ndarray:
-    """i.i.d. complex Gaussians with E|g|^2 = 1, as a complex array."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return complex_gaussian_array(rng, count)
-
-
 def complex_gaussian_array(rng, shape) -> np.ndarray:
-    """Array-shaped variant of :func:`draw_gaussians`.
+    """i.i.d. complex Gaussians with E|g|^2 = 1, as an array of ``shape``.
 
     The real parts take the first standard_normal draw of ``shape`` and the
     imaginary parts the second.  Each draw is scaled straight into the
@@ -251,75 +220,3 @@ def complex_gaussian_array(rng, shape) -> np.ndarray:
     np.multiply(draw, scale, out=out.real)
     np.multiply(gen.standard_normal(out=draw), scale, out=out.imag)
     return out[()]
-
-
-def gauss_bound_scalars(values) -> float:
-    """Gauss-bound of a family of scalar multipliers: sup of the moduli.
-
-    For a family of scalar multiples of the identity the randomized
-    domination constant is attained at a single vector, so the supremum is
-    the exact bound, not just an upper estimate.
-    """
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if arr.size == 0:
-        raise ValueError("gauss_bound_scalars needs a nonempty family")
-    return float(np.abs(arr).max())
-
-
-def _rademacher_matrix(count: int, trials: int, gen: np.random.Generator) -> np.ndarray:
-    return 2.0 * gen.integers(0, 2, size=(trials, count)) - 1.0
-
-
-def type_ratio(
-    space: BanachSpace,
-    q: float,
-    ys: np.ndarray,
-    rng: RandomSource | None = None,
-    sign_draws: int = 4096,
-    exact_limit: int = 12,
-) -> float:
-    """Rademacher-average ratio E||sum_k e_k y_k|| / (sum_k ||y_k||^q)^(1/q).
-
-    Exact enumeration of all sign patterns when the tuple is short,
-    Monte Carlo otherwise.
-    """
-    ys = np.asarray(ys, dtype=complex)
-    if ys.ndim != 2 or ys.shape[1] != space.dim:
-        raise ValueError("ys must have shape (count, dim)")
-    count = ys.shape[0]
-    denom = float((norm(space, ys) ** q).sum() ** (1.0 / q))
-    if denom == 0.0:
-        return 0.0
-    if count <= exact_limit:
-        bits = np.arange(2 ** count)[:, None] >> np.arange(count)[None, :]
-        signs = 2.0 * (bits & 1) - 1.0
-    else:
-        gen = _as_generator(rng if rng is not None else RandomSource(0))
-        signs = _rademacher_matrix(count, sign_draws, gen)
-    sums = signs @ ys
-    expectation = float(norm(space, sums).mean())
-    return expectation / denom
-
-
-def type_constant(
-    space: BanachSpace,
-    q: float,
-    count: int,
-    trials: int,
-    rng: RandomSource,
-) -> float:
-    """Empirical lower bound on the type-q constant of the space.
-
-    Maximizes the Rademacher ratio over ``trials`` random complex Gaussian
-    tuples of length ``count``.
-    """
-    if not 0.0 < q <= 2.0:
-        raise ValueError(f"type exponent must lie in (0, 2], got {q}")
-    if count < 1 or trials < 1:
-        raise ValueError("count and trials must be positive")
-    best = 0.0
-    for t in range(trials):
-        gen = rng.derive(1000 + t).generator()
-        ys = complex_gaussian_array(gen, (count, space.dim))
-        best = max(best, type_ratio(space, q, ys, rng=rng.derive(2000 + t)))
-    return best

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tentspace.cli import main
-from tentspace.harness import ExperimentConfig
+from tentspace.harness import SUITES, ExperimentConfig
 from tentspace.field import SampledFunction, SpatialGrid
 from tentspace.io import read_tsf1, write_tsf1
 from tentspace.space import RandomSource, complex_gaussian_array, ell
@@ -159,6 +159,18 @@ def test_config_error_exit_code(tmp_path):
     bad_axis = tmp_path / "axis.json"
     bad_axis.write_text(json.dumps({"refine_axis": "M"}))
     assert run_cli("suite", "duality", "--config", str(bad_axis), "--refine") == 2
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_rejects_no_cases(tmp_path, capsys, suite):
+    # a suite over an empty corpus would pass its assertions vacuously
+    for cases in (0, -1, 2.5):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"N": 32, "K": 6, "cases": cases}))
+        assert run_cli("suite", suite, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")) == 2
+        assert "cases must be an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_env_override(tmp_path, monkeypatch):

@@ -293,6 +293,22 @@ def test_good_lambda_fitted_finite_and_satisfied():
     assert all(math.isfinite(c) for c in table.fitted.values())
 
 
+def test_good_lambda_shares_one_sweep_at_alpha():
+    # Monte Carlo target: A and C_q at alpha come from the same draws
+    from tentspace.field import dyadic_radii
+    from tentspace.functionals import a_fun_cuts
+
+    f = random_field(29, space=ell("inf", 2))
+    radii = dyadic_radii(GRID)
+    cuts = a_fun_cuts(f, 1.0, [*radii, None], trials=64, rng=RandomSource(4))
+    cq = c_fun(f, 1.0, 1.0, radii=radii, a_profiles=cuts[:-1])
+    lam = float(np.median(cuts[-1].values)) / 2.0
+    table = good_lambda_table(f, 1.0, 1.0, [0.5], [lam], beta=3.0, trials=64,
+                              rng=RandomSource(4))
+    assert table.rows[0]["m_lhs"] == set_measure(GRID, cuts[-1].values > 2.0 * lam)
+    assert table.rows[0]["m_cq"] == set_measure(GRID, cq.values > 0.5 * lam)
+
+
 def test_good_lambda_wrap_warning():
     f = random_field(27)
     table = good_lambda_table(f, 1.0, 1.0, [1.0], [1.0])  # beta = 11

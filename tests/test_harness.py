@@ -146,6 +146,15 @@ def test_ac_rejects_all_invalid_pairs():
         run_suite(cfg)
 
 
+def test_ac_passes_on_monte_carlo_target():
+    # A and every C_q come from one sweep per aperture, so independent
+    # draws cannot break the pointwise bound C_q <= M(A^q)^(1/q)
+    cfg = ExperimentConfig(suite="AC", N=64, K=16, cases=4,
+                           space={"q": "inf", "dim": 3})
+    rep = run_suite(cfg)
+    assert rep.passed, [a for a in rep.assertions if not a.passed]
+
+
 def test_refine_mode_adds_stability_assertions():
     cfg = ExperimentConfig(suite="duality", **SMALL, q_list=[1.0], refine=True)
     rep = run_suite(cfg)

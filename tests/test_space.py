@@ -9,16 +9,11 @@ from tentspace.space import (
     BanachSpace,
     _norm_from_squares,
     RandomSource,
-    XVector,
     complex_gaussian_array,
-    draw_gaussians,
     dual,
     ell,
-    gauss_bound_scalars,
     norm,
     pair,
-    type_constant,
-    type_ratio,
 )
 
 
@@ -151,85 +146,13 @@ def test_norm_triangle_and_homogeneity(seed):
     assert norm(space, c * u) == pytest.approx(abs(c) * norm(space, u), rel=1e-12)
 
 
-def test_xvector_checks_dimension():
-    with pytest.raises(ValueError):
-        XVector(ell(2, 3), (1.0, 2.0))
-    assert XVector(ell(2, 2), (3.0, 4.0)).norm() == pytest.approx(5.0)
-
-
-def test_gauss_bound_scalars_basic():
-    assert gauss_bound_scalars([1.0]) == 1.0
-    assert gauss_bound_scalars([0.0, 0.0, 0.0]) == 0.0
-    assert gauss_bound_scalars([1 + 1j, 2.0, -3j]) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        gauss_bound_scalars([])
-
-
-def test_gauss_bound_scalars_monotone_under_inclusion():
-    fam = [0.5, -2.0, 1 + 2j, 3j]
-    for k in range(1, len(fam)):
-        assert gauss_bound_scalars(fam[:k]) <= gauss_bound_scalars(fam[: k + 1])
-
-
-def test_gauss_bound_scalars_mc_lower_bound():
-    # lower bound through the defining inequality: for random assignments
-    # T_j from the family and vectors xi_j, the exact second-moment ratio
-    # never exceeds sup|lambda| and approaches it
-    family = np.array([1 + 1j, 2.0, -3j])
-    gen = RandomSource(23).generator()
-    best = 0.0
-    for _ in range(500):
-        lam = family[gen.integers(0, 3, size=3)]
-        xi = complex_gaussian_array(gen, 3)
-        num = float(np.sum(np.abs(lam) ** 2 * np.abs(xi) ** 2))
-        den = float(np.sum(np.abs(xi) ** 2))
-        best = max(best, math.sqrt(num / den))
-    target = gauss_bound_scalars(family)
-    assert best <= target * (1 + 1e-12)
-    assert best >= target * 0.98
-
-
-def test_type_ratio_l1_canonical_pair():
-    # enumeration over all 4 sign patterns: E||(+-1, +-1)||_1 = 2, rhs = sqrt(2)
-    ys = np.array([[1.0, 0.0], [0.0, 1.0]])
-    val = type_ratio(ell(1, 2), 2.0, ys)
-    assert val == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_type_constant_trivial_for_small_q():
-    for q in (0.5, 1.0):
-        c = type_constant(ell(1, 3), q, count=4, trials=20, rng=RandomSource(3))
-        assert c <= 1.0 + 1e-9
-
-
-def test_type_constant_hilbert_q2():
-    c = type_constant(ell(2, 3), 2.0, count=5, trials=20, rng=RandomSource(4))
-    assert c <= 1.0 + 1e-9  # exact enumeration path: orthogonality is sharp
-
-
-def test_type_constant_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        type_constant(ell(2, 2), 2.5, count=2, trials=1, rng=RandomSource(0))
-
-
-def test_draw_gaussians_empty_and_deterministic():
-    assert draw_gaussians(RandomSource(5), 0).size == 0
-    a = draw_gaussians(RandomSource(5, 1), 64)
-    b = draw_gaussians(RandomSource(5, 1), 64)
+def test_complex_gaussian_array_empty_and_deterministic():
+    assert complex_gaussian_array(RandomSource(5), 0).size == 0
+    a = complex_gaussian_array(RandomSource(5, 1), 64)
+    b = complex_gaussian_array(RandomSource(5, 1), 64)
     assert np.array_equal(a, b)
-    c = draw_gaussians(RandomSource(5, 2), 64)
+    c = complex_gaussian_array(RandomSource(5, 2), 64)
     assert not np.array_equal(a, c)
-
-
-def test_draw_gaussians_keeps_its_two_halves_stream():
-    # the former body: one call for 2*count normals, real half first
-    for count in (1, 7, 64):
-        gen = RandomSource(23, 4).generator()
-        z = gen.standard_normal(2 * count)
-        old = (z[:count] + 1j * z[count:]) / math.sqrt(2.0)
-        assert np.array_equal(draw_gaussians(RandomSource(23, 4), count), old)
-    with pytest.raises(ValueError):
-        draw_gaussians(RandomSource(0), -1)
 
 
 @pytest.mark.parametrize("q", [1, 1.5, 2, 4, "inf"])
@@ -258,8 +181,8 @@ def test_complex_gaussian_array_matches_quotient_form(shape):
     assert gen.standard_normal() == ref.standard_normal()  # same draws consumed
 
 
-def test_draw_gaussians_second_moment():
-    g = draw_gaussians(RandomSource(17), 100_000)
+def test_complex_gaussian_array_second_moment():
+    g = complex_gaussian_array(RandomSource(17), 100_000)
     assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, abs=0.02)
 
 
