@@ -42,16 +42,10 @@ __all__ = [
 @functools.lru_cache(maxsize=16)
 def _row_distances(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Row offsets centre-out and their offset distances to columns 0..N/2."""
-    half = grid.N // 2
-    dist = grid.offset_distance()
-    if grid.n == 1:
-        a = np.zeros(1, dtype=np.int64)
-        dist = dist[None]
-    else:
-        steps = np.arange(1, half + 1)
-        a = np.concatenate([[0], np.stack([steps, -steps], axis=1).ravel()[:-1]])
-        dist = dist[a % grid.N]
-    dist = dist[:, : half + 1]
+    half, rows = grid.N // 2, grid.N ** (grid.n - 1)  # a 1-D grid is one row
+    steps = np.arange(1, half + 1)
+    a = np.concatenate([[0], np.stack([steps, -steps], axis=1).ravel()])[:rows]
+    dist = grid.offset_distance().reshape(rows, grid.N)[a % grid.N, : half + 1]
     a.flags.writeable = dist.flags.writeable = False
     return a, dist
 
@@ -179,7 +173,7 @@ def _per_scale(grid: SpatialGrid, arr: np.ndarray, radii, kernel, combine):
         raise ValueError("window radii must be positive")
     segment = kernel(arr.reshape(K, -1, grid.N))
     out = segment(order, h[:, 0], full[:, 0])
-    rows = grid.N if grid.n == 2 else 1
+    rows = grid.N ** (grid.n - 1)
     out = out.reshape(K, -1, rows, grid.N)  # (sorted scale, rest, row, column)
     for j in range(1, a.size):
         m = int(np.count_nonzero(h[:, j] >= 0))

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field import HalfSpaceField, SampledFunction, ScaleGrid, SpatialGrid
+from .field import HalfSpaceField, SampledFunction, ScaleGrid, SpatialGrid, _components
+from .space import _fold
 
 __all__ = [
     "TestFunction",
@@ -97,10 +98,8 @@ class TestFunction:
 
 
 def _sqnorm(xi: np.ndarray, n: int) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if n == 1:
-        return xi * xi
-    return xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+    c = _components(xi, n)
+    return _fold(c * c)
 
 
 def mexican_hat(n: int = 1) -> TestFunction:
@@ -113,11 +112,8 @@ def mexican_hat(n: int = 1) -> TestFunction:
         return s2 * np.exp(-s2 / 2.0)
 
     def spat(x):
-        x = np.asarray(x, dtype=float)
         r2 = _sqnorm(x, n)
-        if n == 1:
-            return (1.0 - r2) * np.exp(-r2 / 2.0) / math.sqrt(2.0 * math.pi)
-        return (2.0 - r2) * np.exp(-r2 / 2.0) / (2.0 * math.pi)
+        return (n - r2) * np.exp(-r2 / 2.0) / (2.0 * math.pi) ** (n / 2.0)
 
     return TestFunction("mexican_hat", n, four, spat, integral=0.0, band=(0.1, 20.0))
 
@@ -129,15 +125,12 @@ def dgauss_1(n: int = 1) -> TestFunction:
     xi_1 = 0, making this the canonical degenerate example.
     """
     def four(xi):
-        xi = np.asarray(xi, dtype=float)
         s2 = _sqnorm(xi, n)
-        first = xi if n == 1 else xi[..., 0]
-        return 1j * first * np.exp(-s2 / 2.0)
+        return 1j * _components(xi, n)[..., 0] * np.exp(-s2 / 2.0)
 
     def spat(x):
-        x = np.asarray(x, dtype=float)
         r2 = _sqnorm(x, n)
-        first = x if n == 1 else x[..., 0]
+        first = _components(x, n)[..., 0]
         return -first * np.exp(-r2 / 2.0) / (2.0 * math.pi) ** (n / 2.0)
 
     return TestFunction("dgauss_1", n, four, spat, integral=0.0, band=(0.05, 10.0))
@@ -360,11 +353,10 @@ def complementary(
         active = cut > 0.0
         if not np.any(active):
             return out
-        if n == 1:
-            units = -np.sign(xi[active])
-        else:
-            units = -xi[active] / r[active][..., None]
+        # on the line x/|x| is exactly +-1, the two signs
+        units = -_components(xi, n)[active] / r[active][..., None]
         rays, inverse = np.unique(units, axis=0, return_inverse=True)
+        rays = rays.reshape((-1,) + (n,) * (n - 1))
         D_rays = ray_normalizer(rays)
         if np.any(D_rays < margin_tol):
             raise ValueError(

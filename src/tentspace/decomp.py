@@ -384,9 +384,6 @@ class GoodLambdaTable:
     q: float
     wrap_warning: bool
 
-    def to_csv(self, path) -> None:
-        write_good_lambda_csv(path, self.rows)
-
     def satisfied(self) -> bool:
         """Inequality m_lhs <= m_cq + C gamma^q m_beta with the fitted C."""
         for r in self.rows:

@@ -72,20 +72,17 @@ class SpatialGrid:
 
     def coords(self) -> np.ndarray:
         """Grid point coordinates: (N,) for n=1, (N, N, 2) for n=2."""
-        axis = np.arange(self.N) * self.spacing
-        if self.n == 1:
-            return axis
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([xx, yy], axis=-1)
+        return self._points(np.arange(self.N) * self.spacing)
 
     def xi(self) -> np.ndarray:
         """Frequency lattice 2*pi*m/L in FFT order; (N,) or (N, N, 2)."""
         m = np.fft.fftfreq(self.N) * self.N
-        axis = 2.0 * math.pi * m / self.L
-        if self.n == 1:
-            return axis
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([xx, yy], axis=-1)
+        return self._points(2.0 * math.pi * m / self.L)
+
+    def _points(self, axis: np.ndarray) -> np.ndarray:
+        """Product lattice of axis: (*shape, n), no component axis at n = 1."""
+        pts = np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"), axis=-1)
+        return pts.reshape(self.shape + (self.n,) * (self.n - 1))
 
     def offset_distance(self) -> np.ndarray:
         """Torus distance of each index offset from zero; (N,) or (N, N).
@@ -103,13 +100,14 @@ class SpatialGrid:
         on Python floats; round, like np.round, rounds half to even.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        if not all(math.isfinite(v) for v in xs):
+            raise ValueError(f"point x must be finite, got {x!r}")
         h, tol = self.spacing, 1e-12 * self.L
-        if all(math.isfinite(v) for v in xs):
-            idx = [round(v / h) for v in xs]
-            if all(abs(v - i * h) <= tol for v, i in zip(xs, idx)):
-                # wrapped here: an index past int64 would overflow np.roll's cast
-                shift = tuple(i % self.N for i in idx[: self.n])
-                return np.roll(self.offset_distance(), shift, axis=tuple(range(self.n)))
+        idx = [round(v / h) for v in xs]
+        if all(abs(v - i * h) <= tol for v, i in zip(xs, idx)):
+            # wrapped here: an index past int64 would overflow np.roll's cast
+            shift = tuple(i % self.N for i in idx[: self.n])
+            return np.roll(self.offset_distance(), shift, axis=tuple(range(self.n)))
         return torus_dist(self, self.coords(), x)
 
 
@@ -120,6 +118,15 @@ def _offset_distance(grid: SpatialGrid) -> np.ndarray:
     dist = functools.reduce(np.hypot, np.ix_(*[axis] * grid.n))
     dist.flags.writeable = False
     return dist
+
+
+def _components(x, n: int) -> np.ndarray:
+    """Points x in the layout of coords() and xi() as (..., n).
+
+    At n = 1 this adds a unit component axis; at n = 2 it changes nothing.
+    """
+    x = np.asarray(x, dtype=float)
+    return x.reshape(x.shape[: x.ndim - (n - 1)] + (n,))
 
 
 def torus_dist(grid: SpatialGrid, x, y) -> np.ndarray:
@@ -232,8 +239,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not (self.radius > 0):
+            raise ValueError(f"ball radius must be positive, got {self.radius!r}")
 
     def check(self, grid: SpatialGrid) -> None:
         if self.radius > grid.L / 4 + 1e-12:
@@ -375,8 +382,10 @@ def cone_region(grid: SpatialGrid, scales: ScaleGrid, x, alpha: float,
     and t_k < h.  ``h=None`` (or any h > t_max) keeps every scale node.
     Weights realize dy dt / t^(n+1).
     """
-    if alpha <= 0:
-        raise ValueError("aperture must be positive")
+    if not (alpha > 0):
+        raise ValueError(f"aperture alpha must be positive, got {alpha!r}")
+    if h is not None and not (h > 0):
+        raise ValueError(f"truncation height h must be positive or None, got {h!r}")
     t = scales.nodes()
     dist = grid.point_distance(x).reshape(-1)
     keep_scale = np.ones(scales.K, dtype=bool) if h is None else (t < h)
@@ -399,12 +408,12 @@ def box_region(grid: SpatialGrid, scales: ScaleGrid, ball: Ball) -> Region:
     return _region_from_mask(grid, scales, mask.reshape((scales.K,) + grid.shape), w_per_scale)
 
 
-def dyadic_radii(grid: SpatialGrid, j_min: int = 2) -> np.ndarray:
-    """Dyadic ball radii L*2^-j for j = j_min .. log2(N), descending in j.
+def dyadic_radii(grid: SpatialGrid) -> np.ndarray:
+    """Dyadic ball radii L*2^-j for j = 2 .. log2(N), descending in j.
 
     The smallest radius equals the grid spacing, whose ball holds just the
     center point; the largest is L/4 (no self-overlap).
     """
     j_max = int(round(math.log2(grid.N)))
-    js = np.arange(j_min, j_max + 1)
+    js = np.arange(2, j_max + 1)
     return grid.L * 2.0 ** (-js.astype(float))

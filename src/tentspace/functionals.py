@@ -133,6 +133,9 @@ def _cut_indices(scales: ScaleGrid, heights) -> np.ndarray:
     None (like inf) keeps every node.
     """
     h = np.array([math.inf if v is None else v for v in heights], dtype=float)
+    if not (h > 0).all():
+        raise ValueError(f"truncation heights h must be positive or None, "
+                         f"got {heights!r}")
     return np.searchsorted(scales.nodes(), h, side="left")
 
 
@@ -228,8 +231,8 @@ def a_fun_cuts(
     the same Gaussian draws and height monotonicity and stopping-time
     logic behave like the exact path.
     """
-    if alpha <= 0:
-        raise ValueError("aperture must be positive")
+    if not (alpha > 0):
+        raise ValueError(f"aperture alpha must be positive, got {alpha!r}")
     heights = list(heights)
     cuts = _cut_indices(field.scales, heights)
     # held until the profiles are built: with it alive the trace path
@@ -311,8 +314,8 @@ def c_fun(
     ``a_profiles`` lets a caller reuse truncated A sweeps at exactly the
     radii instead of recomputing them.  An empty radius list is rejected.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not (q > 0):
+        raise ValueError(f"q must be positive, got {q!r}")
     grid = field.grid
     if radii is None:
         radii = dyadic_radii(grid)
@@ -358,8 +361,8 @@ def n_fun(field: HalfSpaceField, alpha: float = 1.0) -> FunctionalProfile:
     The target norm is taken pointwise, so the profile is exact for every
     l^q_d target (for a scalar field it is the sup of the moduli).
     """
-    if alpha <= 0:
-        raise ValueError("aperture must be positive")
+    if not (alpha > 0):
+        raise ValueError(f"aperture alpha must be positive, got {alpha!r}")
     grid, scales = field.grid, field.scales
     mods = norm(field.space, field.values)
     radii = alpha * scales.nodes()

@@ -38,6 +38,7 @@ from .field import (
     SampledFunction,
     ScaleGrid,
     SpatialGrid,
+    _components,
     cone_weights,
     dyadic_radii,
 )
@@ -116,8 +117,7 @@ def _scalar_profile(family: str, grid: SpatialGrid, gen, amplitude: float,
         return out
     if family == "lacunary":
         J = max(int(math.log2(N)) - 2, 1)
-        x = grid.coords()
-        coord = x if grid.n == 1 else x[..., 0]
+        coord = _components(grid.coords(), grid.n)[..., 0]
         phases = gen.uniform(0.0, 2.0 * math.pi, size=J)
         out = np.zeros(grid.shape, dtype=complex)
         for j in range(J):
@@ -177,15 +177,8 @@ def generate_field_corpus(
     count: int,
     rng: RandomSource,
     band: int | None = None,
-    localized: bool = False,
-    scale_tilt: float = 0.0,
 ) -> list[HalfSpaceField]:
-    """Random band-limited half-space fields, independent across scales.
-
-    ``localized`` multiplies by a random Gaussian window in y and
-    ``scale_tilt`` by (t/t_max)^tilt, concentrating mass spatially and at
-    the top scales; both make distributional level sets nontrivial.
-    """
+    """Random band-limited half-space fields, independent across scales."""
     bw = band or max(grid.N // 8, 1)
     out = []
     for i in range(count):
@@ -196,15 +189,6 @@ def generate_field_corpus(
         coeff[np.ix_(np.arange(scales.K), *[idx] * grid.n)] = sub
         vals = np.fft.ifftn(coeff, axes=tuple(range(1, 1 + grid.n)))
         vals *= grid.N ** (grid.n / 2)
-        if localized:
-            x0 = grid.spacing * gen.integers(0, grid.N, size=grid.n)
-            width = float(gen.uniform(grid.L / 16, grid.L / 4))
-            d = grid.point_distance(x0)
-            window = np.exp(-((d / width) ** 2))
-            vals = vals * window[None, ..., None]
-        if scale_tilt:
-            tilt = (scales.nodes() / scales.t_max) ** scale_tilt
-            vals = vals * tilt.reshape((-1,) + (1,) * (grid.n + 1))
         out.append(HalfSpaceField(grid, scales, space, vals))
     return out
 
@@ -304,9 +288,23 @@ class ExperimentConfig:
             self.psi = {"name": "mexican_hat", **self.psi}
         if self.refine_axis not in ("N", "K"):
             raise ValueError(f"refine_axis must be 'N' or 'K', got {self.refine_axis!r}")
-        # a suite over no case would pass vacuously
-        if not (isinstance(self.cases, numbers.Integral) and self.cases >= 1):
-            raise ValueError(f"cases must be an integer of at least 1, got {self.cases!r}")
+        # a float size would escape as a TypeError deep inside, and a suite
+        # over no case, exponent, aperture or lambda point would pass
+        # vacuously or raise an IndexError
+        for key in ("n", "N", "K", "trials", "seed", "threads", "columns", "band",
+                    "cases", "lambda_points"):
+            value = getattr(self, key)
+            if key == "band" and value is None:
+                continue
+            floor = " of at least 1" if key in ("cases", "lambda_points") else ""
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and (not floor or value >= 1)):
+                raise ValueError(f"{key} must be an integer{floor}, got {value!r}")
+        for key in ("q_list", "p_list", "alpha_list", "gamma_list"):
+            if len(getattr(self, key)) == 0:
+                raise ValueError(f"{key} must not be empty")
+        if not (self.rho > 1):
+            raise ValueError(f"rho must exceed 1, got {self.rho!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -11,7 +11,7 @@ agree up to summation-order roundoff.
 Per-scale contribution norms are kept as diagnostics, one L^2 sum per
 slice.  Their end values relative to the peak are reported separately:
 ``tail_fine`` at t_min and ``tail_coarse`` at t_max.  When either end
-still carries more than ``tail_tol`` of the peak, the scale band is too
+still carries more than ``TAIL_TOL`` of the peak, the scale band is too
 narrow and the result is flagged as truncated.  Raising t_max shrinks
 the coarse tail; lowering t_min shrinks the fine one.
 """
@@ -30,7 +30,7 @@ from .space import dual, norm, pair
 __all__ = ["ParaproductResult", "paraproduct", "pair_paraproduct", "lp_norm"]
 
 _MEAN_ZERO_TOL = 1e-12
-TAIL_TOL = 0.05  # default end-slice share of the peak that flags truncation
+TAIL_TOL = 0.05  # end-slice share of the peak that flags truncation
 
 
 @dataclass
@@ -74,7 +74,6 @@ def paraproduct(
     psi: TestFunction,
     phi: TestFunction,
     scales: ScaleGrid,
-    tail_tol: float = TAIL_TOL,
 ) -> ParaproductResult:
     """P(f, u) on the grid, accumulated over the scale band.
 
@@ -82,7 +81,7 @@ def paraproduct(
     scale axis.  ``scale_norms[k]`` is dlog times the L^2 norm of slice
     k; ``tail_fine`` and ``tail_coarse`` are its first and last entries
     over its peak, and ``truncated`` says that either exceeds
-    ``tail_tol``.
+    ``TAIL_TOL``.
     """
     _check_inputs(f, u, psi)
     grid = f.grid
@@ -94,7 +93,7 @@ def paraproduct(
     peak = contrib.max()
     tail_fine = float(contrib[0] / peak) if peak > 0 else 0.0
     tail_coarse = float(contrib[-1] / peak) if peak > 0 else 0.0
-    truncated = bool(peak > 0 and max(contrib[0], contrib[-1]) > tail_tol * peak)
+    truncated = bool(peak > 0 and max(contrib[0], contrib[-1]) > TAIL_TOL * peak)
     return ParaproductResult(
         SampledFunction(grid, f.space, acc), contrib, truncated,
         tail_fine=tail_fine, tail_coarse=tail_coarse,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -170,6 +171,29 @@ def test_suite_rejects_no_cases(tmp_path, capsys, suite):
         assert run_cli("suite", suite, "--config", str(cfg_path),
                        "--out", str(tmp_path / "out")) == 2
         assert "cases must be an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite, key, value, message", [
+    ("duality", "N", 64.0, "N must be an integer"),
+    ("duality", "K", 8.5, "K must be an integer"),
+    ("duality", "n", 1.0, "n must be an integer"),
+    ("paraproduct", "band", 4.0, "band must be an integer"),
+    ("duality", "q_list", [], "q_list must not be empty"),
+    ("good_lambda", "q_list", [], "q_list must not be empty"),
+    ("carleson_embedding", "p_list", [], "p_list must not be empty"),
+    ("duality", "rho", math.nan, "rho must exceed 1"),
+    ("good_lambda", "lambda_points", 0, "lambda_points must be an integer of at least 1"),
+    ("good_lambda", "gamma_list", [], "gamma_list must not be empty"),
+])
+def test_suite_rejects_bad_config_keys(tmp_path, capsys, suite, key, value, message):
+    # each of these escaped as a TypeError or IndexError, failed the suite,
+    # or passed it over an empty table
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 32, "K": 6, "cases": 2, key: value}))
+    assert run_cli("suite", suite, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

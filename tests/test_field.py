@@ -9,6 +9,7 @@ from tentspace.field import (
     Ball,
     ScaleGrid,
     SpatialGrid,
+    _components,
     ball_at,
     box_region,
     cone_region,
@@ -46,6 +47,33 @@ def test_grid_validation():
         SpatialGrid(1, 12)
     with pytest.raises(ValueError):
         ScaleGrid(0.5, 0.1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_point_layout_against_meshgrid(n):
+    # points are (N,) on the line and (N, N, 2) in the plane; _components
+    # gives both layouts one trailing component axis
+    grid = SpatialGrid(n, 8, 2.0)
+    axes = {"coords": np.arange(8) * grid.spacing,
+            "xi": 2.0 * math.pi * (np.fft.fftfreq(8) * 8) / grid.L}
+    for name, axis in axes.items():
+        got = getattr(grid, name)()
+        if n == 1:
+            want = axis
+        else:
+            xx, yy = np.meshgrid(axis, axis, indexing="ij")
+            want = np.stack([xx, yy], axis=-1)
+            assert np.array_equal(want[3, 5], [axis[3], axis[5]])
+        assert got.shape == want.shape == grid.shape + (2,) * (n - 1)
+        assert np.array_equal(got, want)
+        comps = _components(got, n)
+        assert comps.shape == grid.shape + (n,)
+        assert np.array_equal(comps, want.reshape(grid.shape + (n,)))
+        assert np.shares_memory(comps, got)
+    batch = np.zeros((3, 5) + (n,) * (n - 1))
+    assert _components(batch, n).shape == (3, 5, n)
+    point = 0.5 if n == 1 else (0.5, 0.25)
+    assert np.array_equal(_components(point, n), np.reshape(point, (n,)))
 
 
 def test_scale_grid_nodes_log_uniform():

@@ -65,8 +65,7 @@ def test_corpus_rejects_unknown_family():
 
 
 def test_field_corpus_shapes_and_options():
-    fs = generate_field_corpus(GRID, SCALES, ell(1, 2), 2, RandomSource(3),
-                               localized=True, scale_tilt=1.0)
+    fs = generate_field_corpus(GRID, SCALES, ell(1, 2), 2, RandomSource(3))
     assert len(fs) == 2
     assert fs[0].values.shape == (12, 128, 2)
     cols = generate_column_corpus(GRID, SCALES, ell(2, 1), 2, RandomSource(4))
